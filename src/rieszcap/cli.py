@@ -548,7 +548,6 @@ def _add_common(p: argparse.ArgumentParser, infile: bool = False) -> None:
     p.add_argument("--out", default=None, help="write output to PATH instead of stdout")
     p.add_argument("--format", default=None, choices=("json", "csv"))
     p.add_argument("--config", default=None, help="JSON file of parameter overrides")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     if infile:
         p.add_argument("--in", dest="infile", default=None, help="point-set file (default: stdin)")
 
@@ -591,6 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-init", type=float, default=None)
     p.add_argument("--points-out", default=None, help="write optimized points (CSV)")
     p.add_argument("--trace-out", default=None, help="write per-iteration trace (CSV)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     _add_common(p, infile=True)
     p.set_defaults(func=_cmd_optimize)
 
@@ -610,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", default=None, choices=("json", "csv"))
     p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("verify", help="self-check suites")

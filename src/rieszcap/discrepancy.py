@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ball_sphere_ratio, continuous_energy, neumaier_sum, riesz_energy
+from .energy import _pair_sums, ball_sphere_ratio, continuous_energy, riesz_energy
 from .errors import (
     DimensionError,
     DomainError,
@@ -209,19 +209,16 @@ def _require_s2(X: PointSet, what: str) -> None:
         raise DimensionError(f"{what} is defined on S^2 only, got d={X.d}")
 
 
-def _pair_distance_rows(X: PointSet) -> np.ndarray:
-    from .energy import _distance_matrix  # shared distance kernel
-
-    return _distance_matrix(X.points)
+def _cui_freeden_kernel(r2, grad):
+    return 2.0 * np.log1p(0.5 * np.sqrt(r2)), None
 
 
 def cui_freeden(X: PointSet) -> DiscrepancyReport:
     """Generalized discrepancy with kernel 2 log(1 + r/2):
     D^2 = (1 - mean kernel) / (4 pi); the diagonal r=0 contributes 0."""
     _require_s2(X, "CuiFreeden")
-    r = _pair_distance_rows(X)
-    rows = np.sum(2.0 * np.log1p(0.5 * r), axis=1)
-    kernel_mean = neumaier_sum(rows) / (X.n * X.n)
+    rows, _ = _pair_sums(X.points, _cui_freeden_kernel, coincident_error=False)
+    kernel_mean = math.fsum(rows) / (X.n * X.n)
     dsq = (1.0 - kernel_mean) / (4.0 * math.pi)
     value = _sqrt_clamped(dsq, "CuiFreeden")
     return DiscrepancyReport(

@@ -4,9 +4,12 @@ energy constants with their analytic continuations.
 Conventions fixed here once:
   * Energies run over ordered pairs j != k (each unordered pair twice).
   * s = 0 means the logarithmic kernel -log|x - y|.
-  * Reductions: each kernel row is summed by numpy's pairwise tree, the row
-    totals are combined with Neumaier compensation (single-chunk policy,
-    bitwise deterministic for fixed N).
+  * Every pair sum walks row blocks of at most _BLOCK pair entries, so memory
+    stays O(N + _BLOCK) for every N.  Squared distances come from the Gram
+    form |x|^2 + |y|^2 - 2<x,y>; pairs closer than _NEAR_R2 are recomputed
+    from coordinate differences, where the Gram form loses digits.
+  * Reductions: each kernel row is summed by numpy's pairwise tree and the
+    row totals by math.fsum (bitwise deterministic for fixed N).
 """
 
 from __future__ import annotations
@@ -28,131 +31,90 @@ from .special_functions import (
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
-_BLOCK = 2048               # row-block height for large-N memory control
+_BLOCK = 1 << 17            # pair entries per row block: 1 MB float blocks stay in L2
+_NEAR_R2 = 1e-2             # Gram-form r^2 below this is redone by differences
 
 
-def neumaier_sum(values) -> float:
-    """Compensated sequential sum; exact to one rounding of the true total."""
-    total = 0.0
-    comp = 0.0
-    for v in np.asarray(values, dtype=np.float64).ravel():
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False):
+    """Row sums of a pair kernel over k != j, and optionally gradient rows.
+
+    `kernel(r2, grad)` maps a block of squared distances to (K, W), where W
+    (only when `grad`) is the weight in dK/dx_j = W (x_j - x_k).  The
+    diagonal is fed r2 = 1 and dropped.  Returns (rows, G) with
+    G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
+    """
+    n = pts.shape[0]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    rows = np.empty(n)
+    g = np.empty_like(pts) if grad else None
+    height = max(1, _BLOCK // n)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        blk = pts[lo:hi]
+        r2 = blk @ pts.T
+        r2 *= -2.0
+        r2 += sq[lo:hi, None]
+        r2 += sq
+        r2.reshape(-1)[lo::n + 1] = 1.0  # the block's diagonal entries (j, j)
+        i, k = np.nonzero(r2 < _NEAR_R2)
+        if i.size:
+            diff = blk[i] - pts[k]
+            near = np.einsum("ij,ij->i", diff, diff)
+            r2[i, k] = near
+            m = float(near.min())
+            if coincident_error and m < COINCIDENCE_TOL * COINCIDENCE_TOL:
+                raise CoincidentPointsError(
+                    f"pair distance {math.sqrt(m):.3g} below {COINCIDENCE_TOL:g}"
+                )
+        kern, w = kernel(r2, grad)
+        kern.reshape(-1)[lo::n + 1] = 0.0
+        rows[lo:hi] = kern.sum(axis=1)
+        if grad:
+            w.reshape(-1)[lo::n + 1] = 0.0
+            g[lo:hi] = w.sum(axis=1)[:, None] * blk - w @ pts
+    if grad:
+        g *= 2.0  # each unordered pair appears twice in the ordered sum
+    return rows, g
 
 
-def _distance_matrix(X: np.ndarray) -> np.ndarray:
-    # Exact quadratic form |x|^2 + |y|^2 - 2<x,y>; the direct difference
-    # tensor is used at small N where near-pair cancellation matters most.
-    n = X.shape[0]
-    if n <= 1500:
-        diff = X[:, None, :] - X[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    else:
-        sq = np.einsum("ij,ij->i", X, X)
-        r2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(r2, 0.0)
-    return np.sqrt(np.maximum(r2, 0.0))
+def _riesz_kernel(s: float):
+    # r^-s (-log r at s=0) and its gradient weight, as functions of r^2
+    def kernel(r2, grad):
+        if s == -1.0:
+            k = np.sqrt(r2)
+            return k, (1.0 / k if grad else None)
+        if s == 0.0:
+            k = np.log(r2)
+            k *= -0.5
+            return k, (-1.0 / r2 if grad else None)
+        k = np.power(r2, -0.5 * s)
+        return k, (-s * np.power(r2, -0.5 * s - 1.0) if grad else None)
 
-
-def _check_separation(r: np.ndarray, s: float) -> None:
-    if s < 0.0:
-        return  # r = 0 contributes 0^(-s) = 0, legal
-    n = r.shape[0]
-    if n == 1:
-        return
-    masked = r + np.diag(np.full(n, np.inf))
-    m = float(masked.min())
-    if m < COINCIDENCE_TOL:
-        raise CoincidentPointsError(
-            f"minimal pair distance {m:.3g} below {COINCIDENCE_TOL:g} with s={s}"
-        )
-
-
-def _kernel_rows(r: np.ndarray, s: float) -> np.ndarray:
-    # Row sums of the kernel matrix with a zero diagonal.
-    n = r.shape[0]
-    if s == 0.0:
-        k = r + np.eye(n)  # diagonal -> log 1 = 0
-        return np.sum(-np.log(k), axis=1)
-    if s > 0.0:
-        k = np.power(r + np.eye(n), -s)  # diagonal exact 1, zeroed below
-    else:
-        k = np.power(r, -s)  # r = 0 legitimately contributes 0
-    np.fill_diagonal(k, 0.0)
-    return np.sum(k, axis=1)
+    return kernel
 
 
 def riesz_energy(X: PointSet, s: float) -> float:
     """Riesz s-energy over ordered pairs; -log kernel at s=0.
 
-    O(N^2) time, O(N * block) memory; deterministic reduction.
+    O(N^2) time, O(N + _BLOCK) memory; deterministic reduction.  Coincident
+    points raise CoincidentPointsError for s >= 0 and contribute 0 for s < 0.
     """
     s = _require_finite("s", s)
-    pts = X.points
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    if n <= _BLOCK:
-        r = _distance_matrix(pts)
-        _check_separation(r, s)
-        return neumaier_sum(_kernel_rows(r, s))
-    # blocked rows: each row sum is still the full-row numpy pairwise sum
-    sq = np.einsum("ij,ij->i", pts, pts)
-    rows = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        r2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (pts[lo:hi] @ pts.T)
-        r2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 0.0
-        r = np.sqrt(np.maximum(r2, 0.0))
-        idx = np.arange(lo, hi)
-        r_off = r.copy()
-        r_off[idx - lo, idx] = np.inf
-        if s >= 0.0 and float(r_off.min()) < COINCIDENCE_TOL:
-            raise CoincidentPointsError(
-                f"pair distance below {COINCIDENCE_TOL:g} with s={s}"
-            )
-        if s == 0.0:
-            r[idx - lo, idx] = 1.0
-            rows[lo:hi] = np.sum(-np.log(r), axis=1)
-        else:
-            if s > 0.0:
-                r[idx - lo, idx] = 1.0
-            k = np.power(r, -s)
-            k[idx - lo, idx] = 0.0
-            rows[lo:hi] = np.sum(k, axis=1)
-    return neumaier_sum(rows)
-
-
-def _energy_and_gradient_arrays(pts: np.ndarray, s: float):
-    # Shared distance matrix for the optimizer's fused evaluation.
-    r = _distance_matrix(pts)
-    _check_separation(r, s)
-    n = pts.shape[0]
-    energy = neumaier_sum(_kernel_rows(r, s))
-    safe = r + np.eye(n)
-    if s == 0.0:
-        w = -1.0 / (safe * safe)
-    else:
-        w = -s * np.power(safe, -s - 2.0)
-    np.fill_diagonal(w, 0.0)
-    # d/dx_j of the ordered-pair sum: each unordered pair appears twice,
-    # hence the factor 2 on top of sum_k w_jk (x_j - x_k).
-    grad = 2.0 * (w.sum(axis=1)[:, None] * pts - w @ pts)
-    grad -= np.einsum("ij,ij->i", grad, pts)[:, None] * pts
-    return energy, grad
+    rows, _ = _pair_sums(X.points, _riesz_kernel(s), coincident_error=s >= 0.0)
+    return math.fsum(rows)
 
 
 def riesz_energy_and_gradient(X: PointSet, s: float) -> tuple[float, np.ndarray]:
-    """Energy and tangential gradient from one distance matrix."""
+    """Energy and tangential gradient from one walk over the pairs.
+
+    Coincident points raise CoincidentPointsError for s > -2, where the
+    gradient of the kernel is unbounded at r = 0.
+    """
     s = _require_finite("s", s)
-    if X.n == 1:
-        return 0.0, np.zeros_like(X.points)
-    return _energy_and_gradient_arrays(X.points, s)
+    pts = X.points
+    rows, grad = _pair_sums(pts, _riesz_kernel(s), coincident_error=s > -2.0, grad=True)
+    grad -= np.einsum("ij,ij->i", grad, pts)[:, None] * pts
+    return math.fsum(rows), grad
 
 
 def riesz_gradient(X: PointSet, s: float) -> np.ndarray:

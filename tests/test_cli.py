@@ -332,6 +332,13 @@ def test_usage_error_maps_to_one(monkeypatch, capsys):
     assert run_cli(["no-such-command"], None, monkeypatch, capsys)[0] == 1
 
 
+def test_threads_only_on_optimize(monkeypatch, capsys):
+    # only optimize has work to spread over threads; elsewhere the flag is unknown
+    code, _, err = run_cli(["disc", "--threads", "2"], None, monkeypatch, capsys)
+    assert code == 1
+    assert "--threads" in err
+
+
 def test_csv_format_rejected_for_json_commands(monkeypatch, capsys):
     from rieszcap.pointsets import dumps_pointset
 

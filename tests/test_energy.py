@@ -6,6 +6,7 @@ integral converges, and against mpmath's own gamma continuation elsewhere.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,6 @@ from rieszcap.energy import (
     conjectured_C,
     continuous_energy,
     energy_report,
-    neumaier_sum,
     riesz_energy,
     riesz_energy_and_gradient,
     riesz_gradient,
@@ -41,19 +41,6 @@ HEX_AT_4 = 7.7111457329048964175
 def _exact_circle_energy(n: int) -> float:
     # ordered-pair sum of distances for the n-th roots of unity
     return 2.0 * n / math.tan(math.pi / (2.0 * n)) if n > 1 else 0.0
-
-
-# ------------------------------------------------------------- neumaier
-
-def test_neumaier_cancellation():
-    assert neumaier_sum([1e16, 1.0, -1e16]) == 1.0
-    assert sum([1e16, 1.0, -1e16]) == 0.0  # the naive sum really does fail
-
-
-def test_neumaier_matches_fsum():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(10_000) * rng.choice([1.0, 1e8], 10_000)
-    assert neumaier_sum(x) == pytest.approx(math.fsum(x), abs=0.0)
 
 
 # ---------------------------------------------------------------- energy
@@ -86,14 +73,34 @@ def test_roots_of_unity_closed_form_large_n():
 
 
 def test_ordered_equals_twice_unordered():
-    X = random_uniform(2, 60, 4)
-    pts = X.points
-    iu = np.triu_indices(60, k=1)
-    r = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
-    for s in (-1.0, 0.5, 2.0):
-        unordered = math.fsum(np.power(r, -s))
-        assert riesz_energy(X, s) == pytest.approx(2.0 * unordered, rel=1e-13), s
-    assert riesz_energy(X, 0.0) == pytest.approx(2.0 * math.fsum(-np.log(r)), rel=1e-13)
+    # Oracle: difference-form distances of the unordered pairs.  N=2500 has
+    # enough close pairs that the Gram form alone misses 1e-13 at s > 0.
+    for n, seed, powers in ((60, 4, (-1.0, 0.5, 2.0)), (2500, 6, (1.0, 2.0))):
+        X = random_uniform(2, n, seed)
+        pts = X.points
+        iu = np.triu_indices(n, k=1)
+        r = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
+        for s in powers:
+            unordered = math.fsum(np.power(r, -s))
+            assert riesz_energy(X, s) == pytest.approx(2.0 * unordered, rel=1e-13), (n, s)
+        if n == 60:
+            assert riesz_energy(X, 0.0) == pytest.approx(2.0 * math.fsum(-np.log(r)), rel=1e-13)
+
+
+def test_close_pair_in_large_set():
+    # A legitimate pair 1e-9 apart: its 2/r term dominates the energy.
+    pts = random_uniform(2, 3000, 14).points.copy()
+    tangent = np.cross(pts[0], [1.0, 0.0, 0.0])
+    pts[1] = pts[0] + 1e-9 * tangent / np.linalg.norm(tangent)
+    pts[1] /= np.linalg.norm(pts[1])
+    X = PointSet(2, pts)
+    rest = PointSet(2, np.delete(pts, 1, axis=0))
+    r1 = np.linalg.norm(pts[1] - rest.points, axis=1)
+    assert r1.min() < 2e-9
+    want = riesz_energy(rest, 1.0) + 2.0 * math.fsum(1.0 / r1)
+    e = riesz_energy(X, 1.0)
+    assert math.isfinite(e)
+    assert e == pytest.approx(want, rel=1e-13)
 
 
 def test_rotation_invariance():
@@ -117,6 +124,15 @@ def test_coincident_points():
     assert COINCIDENCE_TOL == 1e-14
 
 
+def test_gradient_memory_bounded():
+    X = random_uniform(2, 4096, 3)
+    tracemalloc.start()
+    try:
+        riesz_energy_and_gradient(X, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
 # -------------------------------------------------------------- gradient
 
 def test_gradient_zero_at_symmetric_configs():
@@ -126,6 +142,15 @@ def test_gradient_zero_at_symmetric_configs():
     for n in (3, 7, 12):
         g = riesz_gradient(roots_of_unity(n), -1.0)
         assert np.max(np.abs(g)) < 1e-12 * n
+
+
+def test_gradient_coincident_points():
+    # -2 < s < 0: the energy is legal but the kernel's slope is unbounded at r=0
+    dup = PointSet(2, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    for s in (-1.0, -0.5, 0.0, 1.0):
+        with pytest.raises(CoincidentPointsError):
+            riesz_gradient(dup, s)
+    assert np.all(np.isfinite(riesz_gradient(dup, -2.5)))
 
 
 def test_gradient_tangency():

@@ -133,8 +133,9 @@ def test_restarts_never_hurt():
 
 def test_coincident_start_propagates():
     X0 = PointSet(2, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    with pytest.raises(CoincidentPointsError):
-        optimize(X0, OptimizerConfig(s=1.0))
+    for s in (1.0, -1.0):
+        with pytest.raises(CoincidentPointsError):
+            optimize(X0, OptimizerConfig(s=s))
 
 
 def test_result_json_fields():
