@@ -73,25 +73,64 @@ _DISC_KINDS = (
     "weyl",
 )
 _SUITES = ("stolarsky", "constants", "zeta", "bernoulli")
+_FORMATS = ("json", "csv")
 
-# per-command parameter defaults; also the schema for --config key validation
-_DEFAULTS = {
-    "gen": {"kind": None, "d": None, "n": None, "seed": 0, "format": "csv"},
-    "energy": {"s": None, "format": "json"},
-    "disc": {"kind": None, "centers": 1024, "seed": 0, "degree": 64, "format": "json"},
-    "optimize": {
-        "s": None,
-        "restarts": 1,
-        "seed": 0,
-        "max_iters": 2000,
-        "grad_tol": 1e-9,
-        "step_init": 0.1,
-        "format": "json",
+REQUIRED = object()  # spec default of a parameter the user must supply
+
+# The one parameter table: command -> name -> (type, default, help).  A tuple
+# type lists the allowed strings.  It makes the argparse flags, validates
+# --config keys and values, and its order is the order of the envelope's
+# "params".
+_SPEC = {
+    "gen": {
+        "kind": (_GEN_KINDS, REQUIRED, None),
+        "d": (int, None, None),
+        "n": (int, REQUIRED, None),
+        "seed": (int, 0, None),
+        "format": (_FORMATS, "csv", None),
     },
-    "constants": {"name": None, "format": "json"},
-    "predict": {"ns": "4,8,16,32,64,128,256", "p": 2, "format": "csv"},
-    "fit": {"format": "json"},
-    "verify": {"suite": None, "d": 2, "n": 100, "seed": 1, "format": "json"},
+    "energy": {"s": (float, REQUIRED, None), "format": (_FORMATS, "json", None)},
+    "disc": {
+        "kind": (_DISC_KINDS, REQUIRED, None),
+        "centers": (int, 1024, None),
+        "seed": (int, 0, None),
+        "degree": (int, 64, "harmonic degree cutoff L"),
+        "format": (_FORMATS, "json", None),
+    },
+    "optimize": {
+        "s": (float, REQUIRED, None),
+        "restarts": (int, 1, None),
+        "seed": (int, 0, None),
+        "max_iters": (int, 2000, None),
+        "grad_tol": (float, 1e-9, None),
+        "step_init": (float, 0.1, None),
+        "format": (_FORMATS, "json", None),
+    },
+    "constants": {"name": (str, None, None), "format": (_FORMATS, "json", None)},
+    "predict": {
+        "ns": (str, "4,8,16,32,64,128,256", "comma list of N values"),
+        "p": (int, 2, "expansion order"),
+        "format": (_FORMATS, "csv", None),
+    },
+    "fit": {"format": (_FORMATS, "json", None)},
+    "verify": {
+        "suite": (_SUITES, REQUIRED, None),
+        "d": (int, 2, None),
+        "n": (int, 100, None),
+        "seed": (int, 1, None),
+        "format": (_FORMATS, "json", None),
+    },
+}
+
+# flags that name files or workers: never parameters, so not in --config or
+# the envelope
+_FILE_FLAGS = {
+    "--in": {"dest": "infile", "help": "input file (default: stdin)"},
+    "--out": {"help": "write output to PATH instead of stdout"},
+    "--config": {"help": "JSON file of parameter overrides"},
+    "--points-out": {"help": "write optimized points (CSV)"},
+    "--trace-out": {"help": "write per-iteration trace (CSV)"},
+    "--threads": {"type": int, "help": "worker threads (default 1)"},
 }
 
 _TABULAR = {"gen", "predict"}  # commands where --format csv makes sense
@@ -134,9 +173,23 @@ def _read_points(path: str | None) -> PointSet:
     return loads_pointset(text)
 
 
+def _config_value(command: str, key: str, kind, value):
+    """A --config value checked as its flag would be; float params take ints."""
+    if isinstance(kind, tuple):
+        ok, want = value in kind, f"one of {', '.join(kind)}"
+    else:
+        accepted = (int, float) if kind is float else kind
+        ok, want = isinstance(value, accepted) and not isinstance(value, bool), kind.__name__
+    if not ok:
+        raise ValidationError(f"config key '{key}' for '{command}' must be {want}, got {value!r}")
+    return kind(value) if kind is float else value
+
+
 def _resolve_params(command: str, args: argparse.Namespace) -> dict:
-    params = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
+    """Spec defaults, then --config overrides, then explicit flags."""
+    spec = _SPEC[command]
+    params = {key: default for key, (_, default, _) in spec.items()}
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 overrides = json.load(fh)
@@ -151,20 +204,19 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
             raise ValidationError(
                 f"unknown config keys for '{command}': {', '.join(unknown)}"
             )
-        params.update(overrides)
+        for key, value in overrides.items():
+            if value is not None:  # null leaves the default, like an absent flag
+                params[key] = _config_value(command, key, spec[key][0], value)
     for key in params:
-        flag_val = getattr(args, key.replace("-", "_"), None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             params[key] = flag_val
-    if params.get("format") == "csv" and command not in _TABULAR:
+    if params["format"] == "csv" and command not in _TABULAR:
         raise ValidationError(f"'{command}' output is JSON only; csv is for {sorted(_TABULAR)}")
+    for key, value in params.items():
+        if value is REQUIRED:
+            raise ValidationError(f"'{command}' requires --{key.replace('_', '-')}")
     return params
-
-
-def _require(params: dict, key: str, command: str):
-    if params.get(key) is None:
-        raise ValidationError(f"'{command}' requires --{key.replace('_', '-')}")
-    return params[key]
 
 
 def _threads(args) -> int:
@@ -179,69 +231,49 @@ def _threads(args) -> int:
     return 1
 
 
+# Handlers take the resolved, typed params and return (result, seed) for
+# main to wrap in the JSON envelope, or None when they wrote their own output.
+
 # ------------------------------------------------------------------- gen
 
-def _cmd_gen(args) -> int:
-    params = _resolve_params("gen", args)
-    kind = _require(params, "kind", "gen")
-    if kind not in _GEN_KINDS:
-        raise ValidationError(f"unknown generator kind {kind!r}; choose from {_GEN_KINDS}")
-    n = int(_require(params, "n", "gen"))
-    seed = int(params["seed"])
-    d = params["d"]
+def _cmd_gen(params: dict, args) -> None:
+    kind, d, n = params["kind"], params["d"], params["n"]
     if kind == "roots-of-unity":
-        d = 1 if d is None else int(d)
-        if d != 1:
+        if d not in (None, 1):
             raise ValidationError("roots-of-unity generates on the circle; --d must be 1")
         ps = roots_of_unity(n)
     elif kind == "random":
-        d = 2 if d is None else int(d)
-        ps = random_uniform(d, n, seed=seed)
+        ps = random_uniform(2 if d is None else d, n, seed=params["seed"])
     elif kind == "fibonacci":
-        d = 2 if d is None else int(d)
-        if d != 2:
+        if d not in (None, 2):
             raise ValidationError("fibonacci spiral generates on S^2; --d must be 2")
         ps = fibonacci_sphere(n)
     else:  # hammersley-sphere
-        d = 2 if d is None else int(d)
-        if d != 2:
+        if d not in (None, 2):
             raise ValidationError("hammersley-sphere generates on S^2; --d must be 2")
         m = n.bit_length() - 1
         if n < 1 or 2**m != n:
             raise ValidationError(f"hammersley-sphere needs --n a power of two, got {n}")
         ps = lambert_lift(hammersley_square(m))
-    params["d"], params["n"] = ps.d, ps.n
     if args.out:
         write_pointset(ps, args.out, format=params["format"])
     else:
         sys.stdout.write(dumps_pointset(ps, format=params["format"]))
-    return 0
 
 
 # ----------------------------------------------------------------- energy
 
-def _cmd_energy(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("energy", args)
-    s = float(_require(params, "s", "energy"))
+def _cmd_energy(params: dict, args) -> tuple:
     X = _read_points(args.infile)
-    rep = energy_report(X, s)
-    _emit(_envelope("energy", params, None, rep.to_json(), t0), args.out)
-    return 0
+    return energy_report(X, params["s"]).to_json(), None
 
 
 # ------------------------------------------------------------------- disc
 
-def _cmd_disc(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("disc", args)
-    kind = _require(params, "kind", "disc")
-    if kind not in _DISC_KINDS:
-        raise ValidationError(f"unknown discrepancy kind {kind!r}; choose from {_DISC_KINDS}")
+def _cmd_disc(params: dict, args) -> tuple:
+    kind, seed = params["kind"], params["seed"]
+    centers, degree = params["centers"], params["degree"]
     X = _read_points(args.infile)
-    centers = int(params["centers"])
-    seed = int(params["seed"])
-    degree = int(params["degree"])
     used_seed = None
     if kind == "l2":
         result = l2_cap_discrepancy(X).to_json()
@@ -259,24 +291,20 @@ def _cmd_disc(args) -> int:
         result = leveque_report(X, degree).to_json()
     else:  # weyl
         result = {"kind": "Weyl", "degree": degree, "values": weyl_sums(X, degree)}
-    _emit(_envelope("disc", params, used_seed, result, t0), args.out)
-    return 0
+    return result, used_seed
 
 
 # --------------------------------------------------------------- optimize
 
-def _cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("optimize", args)
-    s = float(_require(params, "s", "optimize"))
+def _cmd_optimize(params: dict, args) -> tuple:
     X0 = _read_points(args.infile)
     cfg = OptimizerConfig(
-        s=s,
-        max_iters=int(params["max_iters"]),
-        grad_tol=float(params["grad_tol"]),
-        restarts=int(params["restarts"]),
-        seed=int(params["seed"]),
-        step_init=float(params["step_init"]),
+        s=params["s"],
+        max_iters=params["max_iters"],
+        grad_tol=params["grad_tol"],
+        restarts=params["restarts"],
+        seed=params["seed"],
+        step_init=params["step_init"],
     )
     res = optimize(X0, cfg, keep_trace=args.trace_out is not None, threads=_threads(args))
     if args.points_out:
@@ -289,8 +317,7 @@ def _cmd_optimize(args) -> int:
         ]
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    _emit(_envelope("optimize", params, cfg.seed, res.to_json(), t0), args.out)
-    return 0
+    return res.to_json(), cfg.seed
 
 
 # -------------------------------------------------------------- constants
@@ -354,11 +381,9 @@ def _constant_registry() -> dict:
     }
 
 
-def _cmd_constants(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("constants", args)
+def _cmd_constants(params: dict, args) -> tuple:
     registry = _constant_registry()
-    name = params.get("name")
+    name = params["name"]
     if name is None:
         result = [{"name": k, **v} for k, v in registry.items()]
     else:
@@ -367,41 +392,34 @@ def _cmd_constants(args) -> int:
                 f"unknown constant {name!r}; available: {', '.join(registry)}"
             )
         result = {"name": name, **registry[name]}
-    _emit(_envelope("constants", params, None, result, t0), args.out)
-    return 0
+    return result, None
 
 
 # ---------------------------------------------------------------- predict
 
-def _cmd_predict(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("predict", args)
+def _cmd_predict(params: dict, args) -> tuple | None:
     try:
-        ns = [int(tok) for tok in str(params["ns"]).split(",") if tok.strip()]
+        ns = [int(tok) for tok in params["ns"].split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"--ns must be a comma list of integers, got {params['ns']!r}") from exc
     if not ns:
         raise ValidationError("--ns resolved to an empty list")
-    p = int(params["p"])
     rows = []
     for n in ns:
-        predicted = predicted_l2_roots_of_unity(n, p)
+        predicted = predicted_l2_roots_of_unity(n, params["p"])
         measured = l2_cap_discrepancy(roots_of_unity(n)).diagnostics["d_squared"]
         rows.append({"N": n, "predicted_dsq": predicted, "measured_dsq": float(measured)})
-    if params["format"] == "csv":
-        lines = ["N,predicted_dsq,measured_dsq"]
-        lines += [f"{r['N']},{r['predicted_dsq']!r},{r['measured_dsq']!r}" for r in rows]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_envelope("predict", params, None, rows, t0), args.out)
-    return 0
+    if params["format"] == "json":
+        return rows, None
+    lines = ["N,predicted_dsq,measured_dsq"]
+    lines += [f"{r['N']},{r['predicted_dsq']!r},{r['measured_dsq']!r}" for r in rows]
+    _emit("\n".join(lines), args.out)
+    return None
 
 
 # -------------------------------------------------------------------- fit
 
-def _cmd_fit(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("fit", args)
+def _cmd_fit(params: dict, args) -> tuple:
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
             text = fh.read()
@@ -428,8 +446,7 @@ def _cmd_fit(args) -> int:
         "r_squared": fit.r_squared,
         "points_used": fit.points_used,
     }
-    _emit(_envelope("fit", params, None, result, t0), args.out)
-    return 0
+    return result, None
 
 
 # ----------------------------------------------------------------- verify
@@ -521,35 +538,34 @@ def _suite_bernoulli() -> dict:
     return {"suite": "bernoulli", "checks": rows, "tolerance": 1e-12, "pass": bool(ok)}
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    params = _resolve_params("verify", args)
-    suite = _require(params, "suite", "verify")
-    if suite not in _SUITES:
-        raise ValidationError(f"unknown suite {suite!r}; choose from {_SUITES}")
-    seed = int(params["seed"])
+def _cmd_verify(params: dict, args) -> tuple:
+    suite, seed = params["suite"], params["seed"]
     if suite == "stolarsky":
-        result = _suite_stolarsky(int(params["d"]), int(params["n"]), seed)
-    elif suite == "constants":
-        result = _suite_constants()
-    elif suite == "zeta":
-        result = _suite_zeta()
-    else:
-        result = _suite_bernoulli()
-    _emit(_envelope("verify", params, seed if suite == "stolarsky" else None, result, t0), args.out)
-    if not result["pass"]:
-        raise NumericalContractError(f"verify suite '{suite}' failed")
-    return 0
+        return _suite_stolarsky(params["d"], params["n"], seed), seed
+    if suite == "constants":
+        return _suite_constants(), None
+    if suite == "zeta":
+        return _suite_zeta(), None
+    return _suite_bernoulli(), None
 
 
 # ------------------------------------------------------------------ wiring
 
-def _add_common(p: argparse.ArgumentParser, infile: bool = False) -> None:
-    p.add_argument("--out", default=None, help="write output to PATH instead of stdout")
-    p.add_argument("--format", default=None, choices=("json", "csv"))
-    p.add_argument("--config", default=None, help="JSON file of parameter overrides")
-    if infile:
-        p.add_argument("--in", dest="infile", default=None, help="point-set file (default: stdin)")
+# command -> (help, handler, flags it takes besides its spec, --out and --config)
+_COMMANDS = {
+    "gen": ("generate a point set", _cmd_gen, ()),
+    "energy": ("Riesz energy report for a point set", _cmd_energy, ("--in",)),
+    "disc": ("discrepancy of a point set", _cmd_disc, ("--in",)),
+    "optimize": (
+        "projected-gradient energy optimization",
+        _cmd_optimize,
+        ("--in", "--points-out", "--trace-out", "--threads"),
+    ),
+    "constants": ("named constants with provenance", _cmd_constants, ()),
+    "predict": ("predicted vs measured circle discrepancy", _cmd_predict, ()),
+    "fit": ("power-law fit of (N, value) CSV rows", _cmd_fit, ("--in",)),
+    "verify": ("self-check suites", _cmd_verify, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,67 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a point set")
-    p.add_argument("--kind", default=None, choices=_GEN_KINDS)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("energy", help="Riesz energy report for a point set")
-    p.add_argument("--s", type=float, default=None)
-    _add_common(p, infile=True)
-    p.set_defaults(func=_cmd_energy)
-
-    p = sub.add_parser("disc", help="discrepancy of a point set")
-    p.add_argument("--kind", default=None, choices=_DISC_KINDS)
-    p.add_argument("--centers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None, help="harmonic degree cutoff L")
-    _add_common(p, infile=True)
-    p.set_defaults(func=_cmd_disc)
-
-    p = sub.add_parser("optimize", help="projected-gradient energy optimization")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--step-init", type=float, default=None)
-    p.add_argument("--points-out", default=None, help="write optimized points (CSV)")
-    p.add_argument("--trace-out", default=None, help="write per-iteration trace (CSV)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
-    _add_common(p, infile=True)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("constants", help="named constants with provenance")
-    p.add_argument("--name", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("predict", help="predicted vs measured circle discrepancy")
-    p.add_argument("--ns", default=None, help="comma list of N values")
-    p.add_argument("--p", type=int, default=None, help="expansion order")
-    _add_common(p)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("fit", help="power-law fit of (N, value) CSV rows")
-    p.add_argument("--in", dest="infile", default=None, help="CSV file (default: stdin)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", default=None, choices=("json", "csv"))
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("verify", help="self-check suites")
-    p.add_argument("--suite", default=None, choices=_SUITES)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for command, (command_help, handler, file_flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, (kind, _, flag_help) in _SPEC[command].items():
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + name.replace("_", "-"), help=flag_help, **typed)
+        for flag in ("--out", "--config") + file_flags:
+            p.add_argument(flag, **_FILE_FLAGS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -632,7 +595,15 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 1
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        params = _resolve_params(args.command, args)
+        returned = args.func(params, args)
+        if returned is not None:
+            result, seed = returned
+            _emit(_envelope(args.command, params, seed, result, t0), args.out)
+            if args.command == "verify" and not result["pass"]:
+                raise NumericalContractError(f"verify suite '{params['suite']}' failed")
+        return 0
     except NumericalContractError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 2
@@ -641,6 +612,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # unreadable --in, unwritable --out and the like
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _pair_sums, ball_sphere_ratio, continuous_energy, riesz_energy
+from .energy import _BLOCK, _pair_sums, ball_sphere_ratio, continuous_energy, riesz_energy
 from .errors import (
     DimensionError,
     DomainError,
@@ -126,57 +126,65 @@ def sample_centers(d: int, m: int, seed) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
-def _segment_bounds(X: PointSet, centers: np.ndarray):
-    u = np.clip(centers @ X.points.T, -1.0, 1.0)
-    u.sort(axis=1)
-    m = centers.shape[0]
-    lo = np.concatenate([np.full((m, 1), -1.0), u], axis=1)
-    hi = np.concatenate([u, np.full((m, 1), 1.0)], axis=1)
-    counts = np.arange(X.n, -1, -1, dtype=np.float64)  # N, N-1, ..., 0
-    return lo, hi, counts
+def _sorted_projections(X: PointSet, centers: np.ndarray, per_entry: int = 1):
+    """Yield (rows, u) over blocks of centers: u[i] holds <centers[rows][i], x_j>
+    clipped to [-1, 1] and sorted.  A block keeps u's N+1 threshold segments
+    times `per_entry` values per segment within energy._BLOCK entries, so
+    memory stays bounded for every N and number of centers.  The block height
+    is a power of two so that blocks start on BLAS row-tile boundaries; with
+    two or more centers per block the projections then match one whole-matrix
+    product bit for bit (checked with OpenBLAS)."""
+    fit = max(1, _BLOCK // ((X.n + 1) * per_entry))
+    height = 1 << (fit.bit_length() - 1)
+    for start in range(0, centers.shape[0], height):
+        rows = slice(start, start + height)
+        u = np.clip(centers[rows] @ X.points.T, -1.0, 1.0)
+        u.sort(axis=1)
+        yield rows, u
+
+
+def _int_arccos(t):  # int arccos t dt
+    return t * np.arccos(t) - np.sqrt(np.maximum(1.0 - t * t, 0.0))
+
+
+def _int_arccos_sq(t):  # int arccos^2 t dt
+    ac = np.arccos(t)
+    rt = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    return t * ac * ac - 2.0 * rt * ac - 2.0 * t
 
 
 def _direct_dsq_per_center(X: PointSet, centers: np.ndarray) -> np.ndarray:
     """Exact t-integral int_{-1}^{1} (count(x,t)/N - sigma_d(t))^2 dt per center."""
     n = X.n
     d = X.d
-    lo, hi, counts = _segment_bounds(X, centers)
-    q = counts / n  # empirical cap fraction per segment
-    if d == 2:
-        # integrand (a + t/2)^2 with a = q - 1/2; antiderivative (2/3)(a + t/2)^3
-        a = (q - 0.5)[None, :]
-        prim = lambda t: (2.0 / 3.0) * (a + 0.5 * t) ** 3
-        seg = prim(hi) - prim(lo)
-        return seg.sum(axis=1)
-    if d == 1:
-        # int (q - arccos(t)/pi)^2 dt with exact antiderivatives
-        def f1(t):  # int arccos t dt
-            return t * np.arccos(t) - np.sqrt(np.maximum(1.0 - t * t, 0.0))
-
-        def f2(t):  # int arccos^2 t dt
-            ac = np.arccos(t)
-            rt = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-            return t * ac * ac - 2.0 * rt * ac - 2.0 * t
-
-        qq = q[None, :]
-        seg = (
-            qq * qq * (hi - lo)
-            - (2.0 * qq / math.pi) * (f1(hi) - f1(lo))
-            + (f2(hi) - f2(lo)) / math.pi**2
-        )
-        return seg.sum(axis=1)
+    # empirical cap fraction per segment: N/N, (N-1)/N, ..., 0
+    q = (np.arange(n, -1, -1, dtype=np.float64) / n)[None, :]
     # general d: fixed Gauss-Legendre rule per segment (no closed primitive)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     out = np.empty(centers.shape[0])
-    block = max(1, 200_000 // max(n + 1, 1))
-    for start in range(0, centers.shape[0], block):
-        sl = slice(start, start + block)
-        mid = 0.5 * (lo[sl] + hi[sl])
-        half = 0.5 * (hi[sl] - lo[sl])
-        t = mid[..., None] + half[..., None] * nodes  # (m, N+1, 32)
-        sig = _sigma_cap_values(d, t.reshape(-1)).reshape(t.shape)
-        integrand = (q[None, :, None] - sig) ** 2
-        out[sl] = np.sum(half * np.sum(integrand * weights, axis=-1), axis=-1)
+    for rows, u in _sorted_projections(X, centers, 1 if d in (1, 2) else nodes.size):
+        lo = np.concatenate([np.full((u.shape[0], 1), -1.0), u], axis=1)
+        hi = np.concatenate([u, np.full((u.shape[0], 1), 1.0)], axis=1)
+        if d == 2:
+            # integrand (a + t/2)^2 with a = q - 1/2; antiderivative (2/3)(a + t/2)^3
+            a = q - 0.5
+            prim = lambda t: (2.0 / 3.0) * (a + 0.5 * t) ** 3
+            seg = prim(hi) - prim(lo)
+        elif d == 1:
+            # int (q - arccos(t)/pi)^2 dt with exact antiderivatives
+            seg = (
+                q * q * (hi - lo)
+                - (2.0 * q / math.pi) * (_int_arccos(hi) - _int_arccos(lo))
+                + (_int_arccos_sq(hi) - _int_arccos_sq(lo)) / math.pi**2
+            )
+        else:
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            t = mid[..., None] + half[..., None] * nodes  # (rows, N+1, 32)
+            sig = _sigma_cap_values(d, t.reshape(-1)).reshape(t.shape)
+            integrand = (q[..., None] - sig) ** 2
+            seg = half * np.sum(integrand * weights, axis=-1)
+        out[rows] = seg.sum(axis=1)
     return out
 
 
@@ -302,13 +310,14 @@ def leveque_report(X: PointSet, L: int) -> DiscrepancyReport:
 
 def _cap_sup_given_centers(X: PointSet, centers: np.ndarray) -> float:
     n = X.n
-    u = np.clip(centers @ X.points.T, -1.0, 1.0)
-    u.sort(axis=1)
-    sig = _sigma_cap_values(X.d, u)
     j = np.arange(1, n + 1, dtype=np.float64)
-    above = np.abs((n - j) / n - sig)        # t just above the jump
-    at = np.abs((n - j + 1.0) / n - sig)     # t at the jump (point included)
-    return float(max(above.max(), at.max()))
+    worst = 0.0
+    for _, u in _sorted_projections(X, centers):
+        sig = _sigma_cap_values(X.d, u)
+        above = np.abs((n - j) / n - sig)        # t just above the jump
+        at = np.abs((n - j + 1.0) / n - sig)     # t at the jump (point included)
+        worst = max(worst, above.max(), at.max())
+    return float(worst)
 
 
 def cap_sup_discrepancy_lower(X: PointSet, centers: int, seed) -> DiscrepancyReport:

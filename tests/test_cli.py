@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -325,6 +326,68 @@ def test_config_unknown_key_rejected(tmp_path, monkeypatch, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("gen", {"kind": "roots-of-unity", "n": "abc"}),
+        ("gen", {"kind": "roots-of-unity", "n": 3.7}),
+        ("gen", {"kind": "roots-of-unity", "n": True}),
+        ("energy", {"s": -1, "format": "xml"}),
+    ],
+)
+def test_config_values_checked_like_flags(command, config, tmp_path, monkeypatch, capsys):
+    from rieszcap.pointsets import dumps_pointset
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    text = dumps_pointset(roots_of_unity(3))
+    code, out, err = run_cli([command, "--config", str(cfg)], text, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# -------------------------------------------------------------- envelope
+
+_OPTIMIZE_PARAMS = {
+    "s": -1.0,
+    "restarts": 1,
+    "seed": 0,
+    "max_iters": 2000,
+    "grad_tol": 1e-09,
+    "step_init": 0.1,
+    "format": "json",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,config,params",
+    [
+        (
+            ["disc", "--kind", "l2"],
+            None,
+            {"kind": "l2", "centers": 1024, "seed": 0, "degree": 64, "format": "json"},
+        ),
+        (["optimize", "--s", "-1"], None, _OPTIMIZE_PARAMS),
+        (["optimize"], {"s": -1}, _OPTIMIZE_PARAMS),
+    ],
+)
+def test_envelope_params_documented(argv, config, params, tmp_path, monkeypatch, capsys):
+    # the README shows these params; key order and float-typed values included
+    from rieszcap.pointsets import dumps_pointset
+
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    text = dumps_pointset(roots_of_unity(3))
+    code, out, _ = run_cli(argv, text, monkeypatch, capsys)
+    assert code == 0
+    # repr tells -1.0 from -1; list order pins the key order
+    got = [(key, repr(value)) for key, value in envelope(out)["params"].items()]
+    assert got == [(key, repr(value)) for key, value in params.items()]
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_usage_error_maps_to_one(monkeypatch, capsys):
@@ -337,6 +400,63 @@ def test_threads_only_on_optimize(monkeypatch, capsys):
     code, _, err = run_cli(["disc", "--threads", "2"], None, monkeypatch, capsys)
     assert code == 1
     assert "--threads" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disc", "--kind", "l2", "--in", "{tmp}/missing.csv"],
+        ["fit", "--in", "{tmp}/missing.csv"],
+        ["constants", "--out", "{tmp}/no/such/dir/x.json"],
+        ["optimize", "--s", "-1", "--points-out", "{tmp}/no/such/dir/best.json"],
+        ["optimize", "--s", "-1", "--trace-out", "{tmp}/no/such/dir/trace.csv"],
+    ],
+)
+def test_file_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
+    from rieszcap.pointsets import dumps_pointset
+
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    text = dumps_pointset(roots_of_unity(3))
+    code, _, err = run_cli(argv, text, monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert str(tmp_path) in err
+
+
+_COMMON_FLAGS = {"--help", "--format", "--out", "--config"}
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("gen", {"--kind", "--d", "--n", "--seed"}),
+        ("energy", {"--s", "--in"}),
+        ("disc", {"--kind", "--centers", "--seed", "--degree", "--in"}),
+        (
+            "optimize",
+            {
+                "--s",
+                "--restarts",
+                "--seed",
+                "--max-iters",
+                "--grad-tol",
+                "--step-init",
+                "--in",
+                "--points-out",
+                "--trace-out",
+                "--threads",
+            },
+        ),
+        ("constants", {"--name"}),
+        ("predict", {"--ns", "--p"}),
+        ("fit", {"--in"}),
+        ("verify", {"--suite", "--d", "--n", "--seed"}),
+    ],
+)
+def test_help_lists_exactly_the_command_flags(command, flags, monkeypatch, capsys):
+    code, out, _ = run_cli([command, "--help"], None, monkeypatch, capsys)
+    assert code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == flags | _COMMON_FLAGS
 
 
 def test_csv_format_rejected_for_json_commands(monkeypatch, capsys):

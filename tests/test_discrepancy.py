@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -414,6 +415,22 @@ def test_cap_sup_rotation_invariant_given_centers():
     assert _cap_sup_given_centers(X, C) == pytest.approx(
         _cap_sup_given_centers(Y, C @ q.T), abs=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "estimator,limit", [(l2_cap_discrepancy_direct, 32e6), (cap_sup_discrepancy_lower, 16e6)]
+)
+def test_center_estimators_memory_bounded(estimator, limit):
+    # centers are walked in blocks: a full 1024 x 4097 projection array
+    # and its temporaries would take 168-269 MB here
+    X = roots_of_unity(4096)
+    tracemalloc.start()
+    try:
+        estimator(X, 1024, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 def test_cap_sup_dimension_guard():
