@@ -264,18 +264,27 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
         raise DomainError(f"L must be an integer >= 1, got {L!r}")
     if L > WEYL_MAX_DEGREE:
         raise RangeError(f"L={L} exceeds guard {WEYL_MAX_DEGREE}")
-    g = np.clip(X.points @ X.points.T, -1.0, 1.0)
     n = X.n
+    sums = np.zeros(L + 1)  # sums[l] = sum_{j,k} P_l(<x_j, x_k>)
+    height = max(1, _BLOCK // n)
+    for start in range(0, n, height):
+        g = np.clip(X.points[start : start + height] @ X.points.T, -1.0, 1.0)
+        p_prev, p_cur, p_next = np.ones_like(g), g.copy(), np.empty_like(g)
+        for l in range(1, L + 1):
+            sums[l] += p_cur.sum()
+            # p_next = ((2l+1) g p_cur - l p_prev) / (l+1), without temporaries
+            np.multiply(g, 2 * l + 1, out=p_next)
+            p_next *= p_cur
+            p_prev *= l
+            p_next -= p_prev
+            p_next /= l + 1
+            p_prev, p_cur, p_next = p_cur, p_next, p_prev
     out = []
-    p_prev = np.ones_like(g)
-    p_cur = g.copy()
     for l in range(1, L + 1):
-        s_l = (2 * l + 1) / (4.0 * math.pi) * float(p_cur.sum()) / (n * n)
+        s_l = (2 * l + 1) / (4.0 * math.pi) * float(sums[l]) / (n * n)
         if s_l < -SQRT_CLAMP_TOL:
             raise NumericalContractError(f"Weyl sum S_{l} = {s_l:.3g} below clamp")
         out.append(max(s_l, 0.0))
-        p_next = ((2 * l + 1) * g * p_cur - l * p_prev) / (l + 1)
-        p_prev, p_cur = p_cur, p_next
     return out
 
 

@@ -2,14 +2,20 @@
 
 Maximizes the sum of distances (s < 0) or minimizes the Riesz s-energy
 (s >= 0) by steepest ascent/descent in the tangent space, renormalizing
-after every move, with Armijo backtracking and uniform random restarts.
-No global-optimality claim is made anywhere: `converged` only says the
-tangential gradient dropped below `grad_tol`.
-"""
+after every move, with uniform random restarts.  A trial step is accepted
+only if it passes the monotone Armijo test against the current energy;
+otherwise it is backtracked.  The first trial step is `step_init`; after
+each accepted step the next trial is a Riemannian Barzilai-Borwein step
+(Barzilai & Borwein 1988; Iannazzo & Porcelli 2018), alternating the long
+<s,s>/<s,y> and short <s,y>/<y,y> forms, where s is the move and y the
+change in gradient with the old gradient projected onto the new tangent
+spaces.  Where the curvature <s,y> has the wrong sign the step doubles.
+Each trace row records the accepted step.  No global-optimality claim is
+made anywhere: `converged` only says the tangential gradient dropped below
+`grad_tol`."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +75,8 @@ class OptimizerResult:
     converged: bool
     stop_reason: str
     restart_energies: list = field(default_factory=list)
+    restart_stop_reasons: list = field(default_factory=list)
+    restart_grad_norms: list = field(default_factory=list)
     trace: list | None = None  # (iter, objective, grad_norm, step) rows
 
     def to_json(self) -> dict:
@@ -80,6 +88,8 @@ class OptimizerResult:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "restart_energies": list(self.restart_energies),
+            "restart_stop_reasons": list(self.restart_stop_reasons),
+            "restart_grad_norms": list(self.restart_grad_norms),
             "n": self.best.n,
             "d": self.best.d,
         }
@@ -112,8 +122,6 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
             if trial is not None:
                 e_new, g_new = riesz_energy_and_gradient(PointSet(d, trial), cfg.s)
                 if sign * (e_new - energy) >= cfg.armijo_c * step * g2:
-                    x, energy, grad = trial, e_new, g_new
-                    gmax = float(np.linalg.norm(grad, axis=1).max())
                     accepted = True
                     break
             step *= cfg.backtrack_factor
@@ -121,11 +129,22 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
             stop = "step_stall"
             break
         iters += 1
+        # Riemannian BB: the old gradient is carried to the new tangent
+        # spaces by projection; c is the curvature along s of the minimized
+        # objective (-sign * energy).
+        s_vec = trial - x
+        y = g_new - (grad - np.sum(grad * trial, axis=1, keepdims=True) * trial)
+        c = -sign * float(np.sum(s_vec * y))
+        x, energy, grad = trial, e_new, g_new
+        gmax = float(np.linalg.norm(grad, axis=1).max())
         if keep_trace:
             trace.append((iters, energy, gmax, step))
-        step *= _GROWTH
-    else:
-        stop = "max_iters"
+        if c <= 0.0:
+            step *= _GROWTH
+        elif iters % 2:
+            step = float(np.sum(s_vec * s_vec)) / c
+        else:
+            step = c / float(np.sum(y * y))
     if gmax <= cfg.grad_tol:
         stop = "grad_tol"
     return x, energy, gmax, iters, stop, trace
@@ -159,9 +178,7 @@ def optimize(
     else:
         outs = [_run_single(s0, X0.d, cfg, keep_trace) for s0 in starts]
     best = None
-    energies = []
     for out in outs:
-        energies.append(out[1])
         if best is None or sign * (out[1] - best[1]) > 0.0:
             best = out
     x, energy, gmax, iters, stop, trace = best
@@ -173,7 +190,9 @@ def optimize(
         restarts_used=cfg.restarts,
         converged=gmax <= cfg.grad_tol,
         stop_reason=stop,
-        restart_energies=energies,
+        restart_energies=[out[1] for out in outs],
+        restart_stop_reasons=[out[4] for out in outs],
+        restart_grad_norms=[out[2] for out in outs],
         trace=trace,
     )
 

@@ -349,6 +349,29 @@ def test_weyl_rotation_invariant():
     np.testing.assert_allclose(weyl_sums(X, 10), weyl_sums(Y, 10), atol=1e-10)
 
 
+def test_weyl_blocks_match_one_block(monkeypatch):
+    # 50 points in row blocks of 7 (the last one short) against one block
+    import rieszcap.discrepancy as disc
+
+    X = random_uniform(2, 50, seed=7)
+    whole = weyl_sums(X, 12)
+    monkeypatch.setattr(disc, "_BLOCK", 7 * X.n)
+    np.testing.assert_allclose(weyl_sums(X, 12), whole, rtol=0.0, atol=1e-14)
+
+
+def test_weyl_memory_bounded():
+    # rows are walked in blocks: the Gram matrix and three Legendre levels
+    # at N=2000 would take about 160 MB
+    X = fibonacci_sphere(2000)
+    tracemalloc.start()
+    try:
+        weyl_sums(X, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 # --------------------------------------------------------------- LeVeque
 
 def test_leveque_single_point_degree_one():

@@ -129,6 +129,33 @@ def test_restarts_never_hurt():
     assert multi.restarts_used == 5
     assert len(multi.restart_energies) == 5
     assert multi.energy == pytest.approx(max(multi.restart_energies))
+    # restart 0 starts at X0 in both runs, so it repeats the single run
+    assert multi.restart_energies[0] == single.energy
+    assert multi.restart_stop_reasons[0] == single.stop_reason
+    assert multi.restart_grad_norms[0] == single.grad_norm
+    assert len(multi.restart_stop_reasons) == len(multi.restart_grad_norms) == 5
+    winner = multi.restart_energies.index(multi.energy)
+    assert multi.restart_stop_reasons[winner] == multi.stop_reason
+    assert multi.restart_grad_norms[winner] == multi.grad_norm
+
+
+def test_evaluation_economy(monkeypatch):
+    # Barzilai-Borwein trial steps are mostly accepted at once; doubling
+    # after every accept needed 1,500-2,800 iterations at 2.0 evaluations each
+    import rieszcap.optimizer as opt
+
+    calls = []
+    counted = opt.riesz_energy_and_gradient
+
+    def counting(X, s):
+        calls.append(X.n)
+        return counted(X, s)
+
+    monkeypatch.setattr(opt, "riesz_energy_and_gradient", counting)
+    res = optimize(random_uniform(2, 64, seed=64), OptimizerConfig(s=-1.0, grad_tol=1.92e-3))
+    assert res.stop_reason == "grad_tol"
+    assert res.iterations <= 400
+    assert len(calls) <= 1.5 * res.iterations
 
 
 def test_coincident_start_propagates():
@@ -149,11 +176,15 @@ def test_result_json_fields():
         "converged",
         "stop_reason",
         "restart_energies",
+        "restart_stop_reasons",
+        "restart_grad_norms",
         "n",
         "d",
     ):
         assert key in blob
     assert blob["n"] == 4 and blob["d"] == 1
+    assert blob["restart_stop_reasons"] == [res.stop_reason]
+    assert blob["restart_grad_norms"] == [res.grad_norm]
 
 
 # ---------------------------------------------------- finite differences
