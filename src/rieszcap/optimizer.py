@@ -7,12 +7,13 @@ only if it passes the monotone Armijo test against the current energy;
 otherwise it is backtracked.  The first trial step is `step_init`; after
 each accepted step the next trial is a Riemannian Barzilai-Borwein step
 (Barzilai & Borwein 1988; Iannazzo & Porcelli 2018), alternating the long
-<s,s>/<s,y> and short <s,y>/<y,y> forms, where s is the move and y the
-change in gradient with the old gradient projected onto the new tangent
-spaces.  Where the curvature <s,y> has the wrong sign the step doubles.
-Each trace row records the accepted step.  No global-optimality claim is
-made anywhere: `converged` only says the tangential gradient dropped below
-`grad_tol`."""
+<s,s>/<s,y> and short <s,y>/<y,y> forms.  Here s is the move and y the
+change in the gradient of the minimized objective (minus the energy when
+maximizing), with the old gradient projected onto the new tangent spaces.
+Where <s,y> <= 0 the step doubles instead.  Each trace row records the
+accepted step.  No global-optimality claim is made anywhere: `converged`
+only says the tangential gradient dropped below `grad_tol`.
+"""
 
 from __future__ import annotations
 
@@ -129,9 +130,8 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
             stop = "step_stall"
             break
         iters += 1
-        # Riemannian BB: the old gradient is carried to the new tangent
-        # spaces by projection; c is the curvature along s of the minimized
-        # objective (-sign * energy).
+        # Riemannian BB: projection carries the old gradient to the new
+        # tangent spaces; c is the curvature along s of -sign * energy.
         s_vec = trial - x
         y = g_new - (grad - np.sum(grad * trial, axis=1, keepdims=True) * trial)
         c = -sign * float(np.sum(s_vec * y))

@@ -140,15 +140,15 @@ def test_restarts_never_hurt():
 
 
 def test_evaluation_economy(monkeypatch):
-    # Barzilai-Borwein trial steps are mostly accepted at once; doubling
-    # after every accept needed 1,500-2,800 iterations at 2.0 evaluations each
+    # every rejected trial pays for an evaluation: most Barzilai-Borwein
+    # trial steps must pass the Armijo test at once
     import rieszcap.optimizer as opt
 
     calls = []
     counted = opt.riesz_energy_and_gradient
 
     def counting(X, s):
-        calls.append(X.n)
+        calls.append(s)
         return counted(X, s)
 
     monkeypatch.setattr(opt, "riesz_energy_and_gradient", counting)
