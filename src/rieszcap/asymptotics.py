@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ball_sphere_ratio, conjectured_C, continuous_energy
-from .errors import DegenerateFit, DomainError, PoleError, RangeError, UnsupportedDimension
+from .errors import DegenerateFit, DomainError, PoleError, UnsupportedDimension, _require_int
 from .special_functions import (
     bernoulli_table,
     riemann_zeta,
@@ -66,23 +66,14 @@ def asymptotic_prediction(d: int, p: int = 2) -> AsymptoticPrediction:
     return AsymptoticPrediction(d=d, constant=constant, exponent=exponent, terms=terms)
 
 
-def _check_order(p: int) -> int:
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
-        raise DomainError(f"expansion order p must be an integer >= 0, got {p!r}")
-    if p > EXPANSION_MAX_ORDER:
-        raise RangeError(f"expansion order p={p} exceeds guard {EXPANSION_MAX_ORDER}")
-    return int(p)
-
-
 def roots_of_unity_energy_expansion(s: float, N: int, p: int) -> float:
     """Truncated asymptotic energy of N-th roots of unity:
     V_s(S^1) N^2 + (2 zeta(s)/(2 pi)^s) N^{1+s}
     + (2/(2 pi)^s) sum_{n<=p} alpha_n(s) zeta(s-2n) N^{1+s-2n}.
     The exclusion set {0, 1, 3, 5, ...} covers every pole in the chain."""
     s = float(s)
-    p = _check_order(p)
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+    p = _require_int("p", p, 0, EXPANSION_MAX_ORDER)
+    N = _require_int("N", N, 1)
     if s == 0.0 or (s > 0.0 and s == int(s) and int(s) % 2 == 1):
         raise PoleError(f"expansion undefined at s={s} (s in {{0, 1, 3, 5, ...}})")
     front = 2.0 / (2.0 * math.pi) ** s
@@ -108,9 +99,8 @@ def _l2_term_coeff(n: int) -> float:
 def predicted_l2_roots_of_unity(N: int, p: int) -> float:
     """D^2 prediction for N-th roots of unity:
     N^-2/3 + sum_{n<=p} 4 |B_{2n+2}| pi^(2n)/(2n+2)! N^(-2-2n)."""
-    p = _check_order(p)
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+    p = _require_int("p", p, 0, EXPANSION_MAX_ORDER)
+    N = _require_int("N", N, 1)
     # plain left-to-right accumulation, large terms first; the order is pinned
     # because downstream truncation-error diagnostics sit within an ulp of the
     # rounded total at large N

@@ -27,10 +27,10 @@ from .errors import (
     DomainError,
     NegativeVarianceError,
     NumericalContractError,
-    RangeError,
+    _require_int,
 )
 from .pointsets import PointSet
-from .special_functions import _check_dim, sphere_surface_area
+from .special_functions import sphere_surface_area
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
 WEYL_MAX_DEGREE = 256
@@ -84,7 +84,7 @@ def _sigma_cap_values(d: int, t: np.ndarray) -> np.ndarray:
 
 def sigma_cap(d: int, t: float) -> float:
     """Normalized surface measure of the spherical cap with threshold t."""
-    d = _check_dim(d)
+    d = _require_int("d", d, 1)
     t = float(t)
     if not math.isfinite(t) or abs(t) > 1.0:
         raise DomainError(f"threshold t must lie in [-1, 1], got {t}")
@@ -118,9 +118,12 @@ def l2_cap_discrepancy(X: PointSet) -> DiscrepancyReport:
 # direct estimator
 
 def sample_centers(d: int, m: int, seed) -> np.ndarray:
-    """m uniform centers on S^d from one sequential stream (prefix-nested)."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"centers must be an integer >= 1, got {m!r}")
+    """m uniform centers on S^d from one sequential stream (prefix-nested).
+
+    The stream is the seed's root stream, drawn as pointsets.random_uniform
+    draws it: sample_centers(d, m, k)[:n] equals random_uniform(d, n, k).points
+    for n <= m, so centers and points must not share a seed."""
+    m = _require_int("centers", m, 1)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, d + 1))
     return g / np.linalg.norm(g, axis=1)[:, None]
@@ -260,10 +263,7 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     broken recurrence; values in [-1e-12, 0) clamp to 0.
     """
     _require_s2(X, "weyl_sums")
-    if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 1:
-        raise DomainError(f"L must be an integer >= 1, got {L!r}")
-    if L > WEYL_MAX_DEGREE:
-        raise RangeError(f"L={L} exceeds guard {WEYL_MAX_DEGREE}")
+    L = _require_int("L", L, 1, WEYL_MAX_DEGREE)
     n = X.n
     sums = np.zeros(L + 1)  # sums[l] = sum_{j,k} P_l(<x_j, x_k>)
     height = max(1, _BLOCK // n)

@@ -19,15 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError, DomainError, PoleError, UnsupportedDimension
+from .errors import (
+    CoincidentPointsError,
+    DomainError,
+    PoleError,
+    UnsupportedDimension,
+    _require_int,
+)
 from .pointsets import PointSet
 from .special_functions import (
-    _check_dim,
     _require_finite,
     _sinpi,
     hex_lattice_zeta,
     riemann_zeta,
-    sphere_surface_area,
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
@@ -172,7 +176,7 @@ def continuous_energy(d: int, s: float) -> float:
     continued analytically outside the poles (even d: s in {d,...,2d-2};
     odd d: s in {d, d+2, ...}).  The logarithmic case s=0 has no value here.
     """
-    d = _check_dim(d)
+    d = _require_int("d", d, 1)
     s = _require_finite("s", s)
     if s == 0.0:
         raise DomainError("s=0 logarithmic energy has no continuous value here")
@@ -191,7 +195,7 @@ def continuous_energy(d: int, s: float) -> float:
 
 def ball_sphere_ratio(d: int) -> float:
     """Volume of the unit d-ball over surface of S^d: Gamma((d+1)/2)/(d sqrt(pi) Gamma(d/2))."""
-    d = _check_dim(d)
+    d = _require_int("d", d, 1)
     return math.exp(
         math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0)
     ) / (d * math.sqrt(math.pi))
@@ -202,7 +206,7 @@ def boundary_leading_term(d: int, n: float) -> float:
 
     N is integer in practice; real N >= 2 accepted for formal checks.
     """
-    d = _check_dim(d)
+    d = _require_int("d", d, 1)
     if d < 2:
         raise DomainError(f"boundary leading term needs d >= 2, got {d}")
     n = _require_finite("n", float(n))
@@ -217,7 +221,7 @@ def conjectured_C(d: int, s: float) -> float:
     d=1: 2 zeta(s) (pole at s=1); d=2: (sqrt3/2)^(s/2) zeta_hex(s) (pole at
     s=2), continued below the abscissa.  No closed form is known elsewhere.
     """
-    d = _check_dim(d)
+    d = _require_int("d", d, 1)
     s = _require_finite("s", s)
     if d == 1:
         if s == 1.0:

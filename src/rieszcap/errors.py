@@ -6,6 +6,8 @@ Plain OverflowError is allowed to escape from gamma-type evaluations whose
 true value exceeds float range; it is not wrapped.
 """
 
+import numpy as np
+
 
 class ToolkitError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -61,3 +63,14 @@ class DegenerateFit(InputError):
 
 class NegativeVarianceError(NumericalContractError):
     """A square identity produced a negative value beyond float-noise tolerance."""
+
+
+def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """`value` as a Python int.  DomainError for a bool, a non-integer or a
+    value below `minimum`; RangeError above the guard `maximum`.  numpy
+    integers are accepted."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise RangeError(f"{name}={value} exceeds guard {maximum}")
+    return int(value)

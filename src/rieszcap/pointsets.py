@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, RangeError, ValidationError
+from .errors import ParseError, ValidationError, _require_int
 
 NORM_TOL = 1e-12          # type invariant on every constructed set
 INGEST_NORM_TOL = 1e-9    # looser gate for file ingestion
@@ -94,17 +94,9 @@ class UnitSquareSet:
 # ----------------------------------------------------------------------------
 # constructors
 
-def _check_count(name: str, value, minimum: int) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 def roots_of_unity(n: int) -> PointSet:
     """The n-th roots of unity on S^1: (cos 2 pi k/n, sin 2 pi k/n)."""
-    n = _check_count("n", n, 1)
+    n = _require_int("n", n, 1)
     theta = 2.0 * math.pi * np.arange(n) / n
     return PointSet(1, np.column_stack([np.cos(theta), np.sin(theta)]))
 
@@ -112,12 +104,14 @@ def roots_of_unity(n: int) -> PointSet:
 def random_uniform(d: int, n: int, seed: int) -> PointSet:
     """i.i.d. uniform points on S^d: normalized standard Gaussians.
 
-    Deterministic for a given seed (PCG64 behind numpy's default_rng).
-    Optimizer restarts and Monte Carlo centers split streams off the same
-    seed via SeedSequence.spawn; this constructor consumes the root stream.
+    Deterministic for a given seed (PCG64 behind numpy's default_rng); this
+    constructor consumes the root stream.  Optimizer restarts draw from
+    children of their seed (SeedSequence.spawn).  Monte Carlo cap centers
+    (discrepancy.sample_centers) draw the root stream exactly as this does,
+    so with equal seeds the first n centers are these n points.
     """
-    d = _check_count("d", d, 1)
-    n = _check_count("n", n, 1)
+    d = _require_int("d", d, 1)
+    n = _require_int("n", n, 1)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(g, axis=1)
@@ -131,7 +125,7 @@ def random_uniform(d: int, n: int, seed: int) -> PointSet:
 def fibonacci_sphere(n: int) -> PointSet:
     """Spiral configuration on S^2: z_k = 1 - (2k+1)/n, azimuth steps by the
     golden ratio conjugate. A cheap well-distributed deterministic baseline."""
-    n = _check_count("n", n, 2)
+    n = _require_int("n", n, 2)
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -161,10 +155,7 @@ def hammersley_square(m: int) -> UnitSquareSet:
     All coordinates are dyadic rationals with denominator 2^m, hence exact
     in float64 for m <= 24.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if m > HAMMERSLEY_MAX_M:
-        raise RangeError(f"m={m} exceeds guard {HAMMERSLEY_MAX_M}")
+    m = _require_int("m", m, 0, HAMMERSLEY_MAX_M)
     n = 1 << m
     k = np.arange(n, dtype=np.uint64)
     u = k.astype(np.float64) / n

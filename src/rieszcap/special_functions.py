@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import DomainError, PoleError, _require_int
 
 _LD = np.longdouble
 
@@ -51,16 +51,8 @@ def gamma_fn(x: float) -> float:
 
 def sphere_surface_area(d: int) -> float:
     """Surface measure of the unit sphere S^d in R^(d+1): 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
-    d = _check_dim(d)
+    d = _require_int("d", d, 1)
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
-
-
-def _check_dim(d) -> int:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise DomainError(f"dimension must be an integer, got {d!r}")
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    return int(d)
 
 
 # ----------------------------------------------------------------------------
@@ -83,10 +75,7 @@ def _bernoulli(n: int) -> Fraction:
 
 def bernoulli_table(m: int) -> tuple[Fraction, ...]:
     """Exact Bernoulli numbers B_0, B_1, ..., B_{2m} as Fractions."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if m > BERNOULLI_MAX_INDEX:
-        raise RangeError(f"m={m} exceeds guard {BERNOULLI_MAX_INDEX}")
+    m = _require_int("m", m, 0, BERNOULLI_MAX_INDEX)
     return tuple(_bernoulli(n) for n in range(2 * m + 1))
 
 
@@ -98,25 +87,23 @@ def _bern_ld(n: int) -> np.longdouble:
 # ----------------------------------------------------------------------------
 # Hurwitz zeta via Euler-Maclaurin
 
-def _em_params(s: float, m_shift: int, order: int) -> tuple[int, int]:
+def _em_params(s: float) -> tuple[int, int]:
     # For s < -1 the head sum grows like (m+a)^(-s) while the total stays O(1):
     # cancellation eats eps*(m+a)^(1-s) digits.  Shrinking the shift to 5 keeps
     # the asymptotic-series floor below 1e-13 and the cancellation survivable
     # in 80-bit accumulation.
-    if s < -1.0:
-        return min(m_shift, 5), max(order, 10)
-    return m_shift, order
+    return (5, 10) if s < -1.0 else (16, 8)
 
 
-def _hurwitz_terms(s: float, a: float, m_shift: int, order: int) -> list[np.longdouble]:
-    s_ = _LD(s)
-    a_ = _LD(a)
-    terms = [(a_ + k) ** (-s_) for k in range(m_shift)]
-    x = a_ + _LD(m_shift)
-    terms.append(x ** (1 - s_) / (s_ - 1))
+def _em_terms(s_: np.longdouble, a_: np.longdouble, m: int, q: int) -> list[np.longdouble]:
+    # Pole-free Euler-Maclaurin terms of zeta(s, a): the head (a+k)^(-s) for
+    # k < m, the half term and q Bernoulli tail terms at x = a + m.  The pole
+    # term x^(1-s)/(s-1) is left to the caller.
+    terms = [(a_ + k) ** (-s_) for k in range(m)]
+    x = a_ + m
     terms.append(x ** (-s_) / 2)
     poch = s_
-    for j in range(1, order + 1):
+    for j in range(1, q + 1):
         coeff = _bern_ld(2 * j) / _LD(math.factorial(2 * j))
         terms.append(coeff * poch * x ** (-s_ - 2 * j + 1))
         poch = poch * (s_ + 2 * j - 1) * (s_ + 2 * j)
@@ -132,11 +119,11 @@ def _sum_sorted(terms: list[np.longdouble]) -> float:
     return float(total)
 
 
-def hurwitz_zeta(s: float, a: float, m_shift: int = 16, order: int = 8) -> float:
+def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta(s, a) for real s != 1, 0 < a <= 1, by Euler-Maclaurin.
 
-    Good to ~1e-12 relative on s in [-6, 6] with the default parameters
-    (the shift auto-shrinks for s < -1 to tame head/pole cancellation).
+    Good to ~1e-12 relative on s in [-6, 6] (the shift shrinks for s < -1
+    to tame head/pole cancellation; see _em_params).
     """
     s = _require_finite("s", s)
     a = _require_finite("a", a)
@@ -144,13 +131,14 @@ def hurwitz_zeta(s: float, a: float, m_shift: int = 16, order: int = 8) -> float
         raise PoleError("hurwitz_zeta pole at s=1")
     if not 0.0 < a <= 1.0:
         raise DomainError(f"a must lie in (0, 1], got {a}")
-    if m_shift < 1 or order < 1:
-        raise DomainError("m_shift and order must be >= 1")
-    m, q = _em_params(s, m_shift, order)
-    return _sum_sorted(_hurwitz_terms(s, a, m, q))
+    m, q = _em_params(s)
+    s_ = _LD(s)
+    a_ = _LD(a)
+    x = a_ + m
+    return _sum_sorted(_em_terms(s_, a_, m, q) + [x ** (1 - s_) / (s_ - 1)])
 
 
-def riemann_zeta(s: float, m_shift: int = 16, order: int = 8) -> float:
+def riemann_zeta(s: float) -> float:
     """Riemann zeta for real s != 1.
 
     s > 1 goes through hurwitz_zeta directly; s < 1 through the reflection
@@ -163,12 +151,12 @@ def riemann_zeta(s: float, m_shift: int = 16, order: int = 8) -> float:
     if s == 1.0:
         raise PoleError("zeta pole at s=1")
     if s > 1.0:
-        return hurwitz_zeta(s, 1.0, m_shift, order)
+        return hurwitz_zeta(s, 1.0)
     if s == 0.0:
         return -0.5
     if s < 0.0 and s == math.floor(s) and int(s) % 2 == 0:
         return 0.0
-    z = hurwitz_zeta(1.0 - s, 1.0, m_shift, order)
+    z = hurwitz_zeta(1.0 - s, 1.0)
     # Assemble in logs: Gamma(1-s) alone overflows for s < -170 even when
     # the product is representable.
     sinval = _sinpi(s / 2.0)
@@ -192,23 +180,17 @@ def _sinpi(x: float) -> float:
 # ----------------------------------------------------------------------------
 # Dirichlet L for the non-principal character mod 3
 
-def dirichlet_L3(s: float, m_shift: int = 16, order: int = 8) -> float:
+def dirichlet_L3(s: float) -> float:
     """L(s, chi_-3) = 3^(-s) (zeta(s, 1/3) - zeta(s, 2/3)), entire in s.
 
     The two Hurwitz pole terms are combined analytically (an expm1 form of
     x1^(1-s) - x2^(1-s) over s-1) so s=1 is a regular point, as it must be.
     """
     s = _require_finite("s", s)
-    if m_shift < 1 or order < 1:
-        raise DomainError("m_shift and order must be >= 1")
-    m, q = _em_params(s, m_shift, order)
+    m, q = _em_params(s)
     s_ = _LD(s)
     third = _LD(1) / 3
     twothird = _LD(2) / 3
-    terms: list[np.longdouble] = []
-    for k in range(m):
-        terms.append((third + k) ** (-s_))
-        terms.append(-((twothird + k) ** (-s_)))
     x1 = third + m
     x2 = twothird + m
     # (x1^(1-s) - x2^(1-s)) / (s-1) = x1^(1-s) * L * expm1(u)/u,
@@ -219,15 +201,8 @@ def dirichlet_L3(s: float, m_shift: int = 16, order: int = 8) -> float:
         pole_pair = x1 ** (1 - s_) * ell
     else:
         pole_pair = x1 ** (1 - s_) * ell * (np.expm1(u) / u)
-    terms.append(pole_pair)
-    terms.append(x1 ** (-s_) / 2)
-    terms.append(-(x2 ** (-s_)) / 2)
-    poch = s_
-    for j in range(1, q + 1):
-        coeff = _bern_ld(2 * j) / _LD(math.factorial(2 * j))
-        terms.append(coeff * poch * (x1 ** (-s_ - 2 * j + 1) - x2 ** (-s_ - 2 * j + 1)))
-        poch = poch * (s_ + 2 * j - 1) * (s_ + 2 * j)
-    return float(_LD(3) ** (-s_) * _LD(_sum_sorted(terms)))
+    terms = _em_terms(s_, third, m, q) + [-t for t in _em_terms(s_, twothird, m, q)]
+    return float(_LD(3) ** (-s_) * _LD(_sum_sorted(terms + [pole_pair])))
 
 
 # ----------------------------------------------------------------------------
@@ -362,10 +337,7 @@ def sinc_power_coeffs(s: float, p: int) -> SeriesCoeffs:
     n alpha_n = sum_{k=1}^{n} k c_k alpha_{n-k}.  alpha_0 = 1 always.
     """
     s = _require_finite("s", s)
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
-        raise DomainError(f"p must be a nonnegative integer, got {p!r}")
-    if p > SINC_COEFF_MAX_ORDER:
-        raise RangeError(f"p={p} exceeds guard {SINC_COEFF_MAX_ORDER}")
+    p = _require_int("p", p, 0, SINC_COEFF_MAX_ORDER)
     c = [0.0] + [s * riemann_zeta(2 * k) / k for k in range(1, p + 1)]
     alpha = [1.0] + [0.0] * p
     for n in range(1, p + 1):
@@ -382,8 +354,7 @@ def legendre_P(l: int, t):
     Three-term recurrence; stable on [-1, 1] for every degree this package
     uses (the invariant |P_l| <= 1 holds to float noise through l = 64).
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {l!r}")
+    l = _require_int("l", l, 0)
     arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("t must be finite")
@@ -407,9 +378,8 @@ def legendre_P(l: int, t):
 
 def harmonic_dim(d: int, l: int) -> int:
     """Dimension of degree-l spherical harmonics on S^d, exact integer."""
-    d = _check_dim(d)
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {l!r}")
+    d = _require_int("d", d, 1)
+    l = _require_int("l", l, 0)
     if l == 0:
         return 1
     # (2l + d - 1) / l * C(l + d - 2, l - 1), always an integer.

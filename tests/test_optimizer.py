@@ -21,13 +21,6 @@ def test_config_maximize_autoresolve():
     assert OptimizerConfig(s=2.0).maximize is False
 
 
-def test_config_maximize_consistency_enforced():
-    with pytest.raises(ValidationError):
-        OptimizerConfig(s=1.0, maximize=True)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(s=-1.0, maximize=False)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -35,9 +28,6 @@ def test_config_maximize_consistency_enforced():
         {"grad_tol": -1e-9},
         {"max_iters": 0},
         {"restarts": 0},
-        {"backtrack_factor": 1.0},
-        {"backtrack_factor": 0.0},
-        {"armijo_c": 1.0},
         {"step_init": 0.0},
     ],
 )
