@@ -28,6 +28,9 @@ def test_config_maximize_autoresolve():
         {"grad_tol": -1e-9},
         {"max_iters": 0},
         {"restarts": 0},
+        {"grad_tol": float("nan")},
+        {"max_iters": -1},
+        {"step_init": -0.1},
         {"step_init": 0.0},
     ],
 )
