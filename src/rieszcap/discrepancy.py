@@ -228,8 +228,8 @@ def cui_freeden(X: PointSet) -> DiscrepancyReport:
     """Generalized discrepancy with kernel 2 log(1 + r/2):
     D^2 = (1 - mean kernel) / (4 pi); the diagonal r=0 contributes 0."""
     _require_s2(X, "CuiFreeden")
-    rows, _ = _pair_sums(X.points, _cui_freeden_kernel, coincident_error=False)
-    kernel_mean = math.fsum(rows) / (X.n * X.n)
+    total, _ = _pair_sums(X.points, _cui_freeden_kernel, coincident_error=False)
+    kernel_mean = total / (X.n * X.n)
     dsq = (1.0 - kernel_mean) / (4.0 * math.pi)
     value = _sqrt_clamped(dsq, "CuiFreeden")
     return DiscrepancyReport(
@@ -258,7 +258,10 @@ def sum_distance_discrepancy(X: PointSet) -> DiscrepancyReport:
 def weyl_sums(X: PointSet, L: int) -> list[float]:
     """S_l = ((2l+1)/(4 pi N^2)) sum_{j,k} P_l(<x_j, x_k>), l = 1..L.
 
-    Addition-theorem route: no explicit spherical harmonics.  Each S_l is a
+    Addition-theorem route: no explicit spherical harmonics.  The Legendre
+    recursion runs over row strips of at most _BLOCK entries that meet only
+    the columns from their own first row on: the strip's square holds both
+    orders of its pairs, the columns after it count twice.  Each S_l is a
     sum of squared harmonic averages, so negatives beyond -1e-12 mean a
     broken recurrence; values in [-1e-12, 0) clamp to 0.
     """
@@ -268,10 +271,12 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     sums = np.zeros(L + 1)  # sums[l] = sum_{j,k} P_l(<x_j, x_k>)
     height = max(1, _BLOCK // n)
     for start in range(0, n, height):
-        g = np.clip(X.points[start : start + height] @ X.points.T, -1.0, 1.0)
+        h = min(height, n - start)
+        g = np.clip(X.points[start : start + h] @ X.points[start:].T, -1.0, 1.0)
         p_prev, p_cur, p_next = np.ones_like(g), g.copy(), np.empty_like(g)
         for l in range(1, L + 1):
-            sums[l] += p_cur.sum()
+            # the strip's square holds both orders; the columns past it, once
+            sums[l] += p_cur[:, :h].sum() + 2.0 * p_cur[:, h:].sum()
             # p_next = ((2l+1) g p_cur - l p_prev) / (l+1), without temporaries
             np.multiply(g, 2 * l + 1, out=p_next)
             p_next *= p_cur

@@ -4,12 +4,17 @@ energy constants with their analytic continuations.
 Conventions fixed here once:
   * Energies run over ordered pairs j != k (each unordered pair twice).
   * s = 0 means the logarithmic kernel -log|x - y|.
-  * Every pair sum walks row blocks of at most _BLOCK pair entries, so memory
-    stays O(N + _BLOCK) for every N.  Squared distances come from the Gram
-    form |x|^2 + |y|^2 - 2<x,y>; pairs closer than _NEAR_R2 are recomputed
-    from coordinate differences, where the Gram form loses digits.
-  * Reductions: each kernel row is summed by numpy's pairwise tree and the
-    row totals by math.fsum (bitwise deterministic for fixed N).
+  * Every pair sum walks row strips of at most _BLOCK pair entries, so
+    memory stays O(N + _BLOCK) for every N.  Each unordered pair is walked
+    once (the kernels are symmetric): a strip meets only its own square and
+    the columns after it.  Squared distances come from the Gram form
+    |x|^2 + |y|^2 - 2<x,y>; when a strip's smallest one is below _NEAR_R2,
+    the pairs under it are recomputed from coordinate differences, where
+    the Gram form loses digits.
+  * Reductions: each strip row is summed by numpy's pairwise tree and the
+    row totals by math.fsum.  The strip order is fixed, so results are
+    bitwise deterministic for fixed N; for N^2 <= _BLOCK one strip holds
+    the whole matrix.
 """
 
 from __future__ import annotations
@@ -35,50 +40,78 @@ from .special_functions import (
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
-_BLOCK = 1 << 17            # pair entries per row block: 1 MB float blocks stay in L2
+_BLOCK = 1 << 17            # pair entries per row strip: 1 MB float strips stay in L2
 _NEAR_R2 = 1e-2             # Gram-form r^2 below this is redone by differences
 
 
 def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False):
-    """Row sums of a pair kernel over k != j, and optionally gradient rows.
+    """Sum of a symmetric pair kernel over the ordered pairs j != k, and
+    optionally its gradient rows.
 
-    `kernel(r2, grad)` maps a block of squared distances to (K, W), where W
-    (only when `grad`) is the weight in dK/dx_j = W (x_j - x_k).  The
-    diagonal is fed r2 = 1 and dropped.  Returns (rows, G) with
-    G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
+    `kernel(r2, grad)` maps a strip of squared distances to (K, W), where W
+    (only when `grad`) is the weight in dK/dx_j = W (x_j - x_k).  Row strip
+    [lo, hi) meets only the columns lo..n-1.  Its own square keeps both
+    orders of each pair, with the diagonal fed r2 = 1 and dropped.  The
+    columns from hi on are the pairs k > j, walked once: they count twice in
+    the sum, and their gradient weights go into both endpoints.  With
+    N^2 <= _BLOCK the square is the whole matrix and nothing else is built.
+    Returns (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or None without
+    `grad`.
     """
     n = pts.shape[0]
     sq = np.einsum("ij,ij->i", pts, pts)
-    rows = np.empty(n)
-    g = np.empty_like(pts) if grad else None
     height = max(1, _BLOCK // n)
+    rows = np.empty(n)  # row sums of each strip's square
+    upper = np.empty(n) if n > height else None  # row sums of the pairs k >= hi
+    g = np.empty_like(pts) if grad else None
+    if grad and upper is not None:
+        # acc_j = sum of W_jk (x_k, 1) over the pairs walked once, from both
+        # ends; a strip's update of the columns after it is then one GEMM
+        # and one add, not a pass per coordinate
+        aug = np.hstack((pts, np.ones((n, 1))))
+        acc = np.zeros_like(aug)
     for lo in range(0, n, height):
         hi = min(lo + height, n)
+        h = hi - lo
         blk = pts[lo:hi]
-        r2 = blk @ pts.T
+        r2 = blk @ pts[lo:].T
         r2 *= -2.0
         r2 += sq[lo:hi, None]
-        r2 += sq
-        r2.reshape(-1)[lo::n + 1] = 1.0  # the block's diagonal entries (j, j)
-        i, k = np.nonzero(r2 < _NEAR_R2)
-        if i.size:
-            diff = blk[i] - pts[k]
+        r2 += sq[lo:]
+        diag = slice(None, None, n - lo + 1)  # the square's diagonal (j, j)
+        r2.reshape(-1)[diag] = 1.0
+        if r2.min() < _NEAR_R2:
+            flat = np.flatnonzero(r2 < _NEAR_R2)
+            i, k = np.divmod(flat, n - lo)
+            diff = blk[i] - pts[lo + k]
             near = np.einsum("ij,ij->i", diff, diff)
-            r2[i, k] = near
+            r2.reshape(-1)[flat] = near
             m = float(near.min())
             if coincident_error and m < COINCIDENCE_TOL * COINCIDENCE_TOL:
                 raise CoincidentPointsError(
                     f"pair distance {math.sqrt(m):.3g} below {COINCIDENCE_TOL:g}"
                 )
         kern, w = kernel(r2, grad)
-        kern.reshape(-1)[lo::n + 1] = 0.0
-        rows[lo:hi] = kern.sum(axis=1)
+        kern.reshape(-1)[diag] = 0.0
+        rows[lo:hi] = kern[:, :h].sum(axis=1)
+        if upper is not None:
+            upper[lo:hi] = kern[:, h:].sum(axis=1)
         if grad:
-            w.reshape(-1)[lo::n + 1] = 0.0
-            g[lo:hi] = w.sum(axis=1)[:, None] * blk - w @ pts
+            w.reshape(-1)[diag] = 0.0
+            ws = w[:, :h]
+            g[lo:hi] = ws.sum(axis=1)[:, None] * blk - ws @ blk
+            if hi < n:
+                w = w[:, h:]
+                acc[lo:hi] += w @ aug[hi:]
+                acc[hi:] += w.T @ aug[lo:hi]
+    if upper is not None:
+        rows = np.concatenate((rows, 2.0 * upper))
+        if grad:
+            g += acc[:, -1:] * pts
+            g -= acc[:, :-1]
     if grad:
         g *= 2.0  # each unordered pair appears twice in the ordered sum
-    return rows, g
+    return math.fsum(rows.tolist()), g
 
 
 def _riesz_kernel(s: float):
@@ -104,8 +137,7 @@ def riesz_energy(X: PointSet, s: float) -> float:
     points raise CoincidentPointsError for s >= 0 and contribute 0 for s < 0.
     """
     s = _require_finite("s", s)
-    rows, _ = _pair_sums(X.points, _riesz_kernel(s), coincident_error=s >= 0.0)
-    return math.fsum(rows)
+    return _pair_sums(X.points, _riesz_kernel(s), coincident_error=s >= 0.0)[0]
 
 
 def riesz_energy_and_gradient(X: PointSet, s: float) -> tuple[float, np.ndarray]:
@@ -116,9 +148,9 @@ def riesz_energy_and_gradient(X: PointSet, s: float) -> tuple[float, np.ndarray]
     """
     s = _require_finite("s", s)
     pts = X.points
-    rows, grad = _pair_sums(pts, _riesz_kernel(s), coincident_error=s > -2.0, grad=True)
+    total, grad = _pair_sums(pts, _riesz_kernel(s), coincident_error=s > -2.0, grad=True)
     grad -= np.einsum("ij,ij->i", grad, pts)[:, None] * pts
-    return math.fsum(rows), grad
+    return total, grad
 
 
 def riesz_gradient(X: PointSet, s: float) -> np.ndarray:

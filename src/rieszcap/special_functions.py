@@ -15,11 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PoleError, _require_int
+from .errors import DomainError, PoleError, RangeError, _require_int
 
 _LD = np.longdouble
 
 BERNOULLI_MAX_INDEX = 64  # table guard: B_0 .. B_128
+EM_MIN_S = -6.0           # Euler-Maclaurin engines answer for s >= this only
 SINC_COEFF_MAX_ORDER = 32
 
 # Hexagonal lattice geometry: unit minimal distance, Gram form m^2 + mn + n^2.
@@ -110,6 +111,13 @@ def _em_terms(s_: np.longdouble, a_: np.longdouble, m: int, q: int) -> list[np.l
     return terms
 
 
+def _require_em_range(s: float, what: str) -> None:
+    # Below EM_MIN_S the head/pole cancellation outgrows 80-bit accumulation:
+    # hurwitz_zeta(-40, 1/2) would come out 3.3e27 where the value is 0.
+    if s < EM_MIN_S:
+        raise RangeError(f"{what} is only evaluated for s >= {EM_MIN_S:g}, got {s}")
+
+
 def _sum_sorted(terms: list[np.longdouble]) -> float:
     # Magnitude-ascending accumulation: the small corrections land before the
     # big cancelling pair, which costs nothing and buys ~1 digit.
@@ -123,10 +131,12 @@ def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta(s, a) for real s != 1, 0 < a <= 1, by Euler-Maclaurin.
 
     Good to ~1e-12 relative on s in [-6, 6] (the shift shrinks for s < -1
-    to tame head/pole cancellation; see _em_params).
+    to tame head/pole cancellation; see _em_params).  s < -6 raises
+    RangeError: there the cancellation would leave no correct digit.
     """
     s = _require_finite("s", s)
     a = _require_finite("a", a)
+    _require_em_range(s, "hurwitz_zeta")
     if s == 1.0:
         raise PoleError("hurwitz_zeta pole at s=1")
     if not 0.0 < a <= 1.0:
@@ -185,8 +195,10 @@ def dirichlet_L3(s: float) -> float:
 
     The two Hurwitz pole terms are combined analytically (an expm1 form of
     x1^(1-s) - x2^(1-s) over s-1) so s=1 is a regular point, as it must be.
+    s < -6 raises RangeError, as in hurwitz_zeta.
     """
     s = _require_finite("s", s)
+    _require_em_range(s, "dirichlet_L3")
     m, q = _em_params(s)
     s_ = _LD(s)
     third = _LD(1) / 3
@@ -211,12 +223,14 @@ def dirichlet_L3(s: float) -> float:
 def hex_lattice_zeta(s: float) -> float:
     """Epstein zeta of the unit-minimal-distance hexagonal lattice.
 
-    Factorizes as 6 zeta(s/2) L(s/2, chi_-3); simple pole at s=2.
+    Factorizes as 6 zeta(s/2) L(s/2, chi_-3); simple pole at s=2.  s < -12
+    raises RangeError, through dirichlet_L3.
     """
     s = _require_finite("s", s)
     if s == 2.0:
         raise PoleError("hexagonal lattice zeta pole at s=2")
-    return 6.0 * riemann_zeta(s / 2.0) * dirichlet_L3(s / 2.0)
+    l3 = dirichlet_L3(s / 2.0)  # first: its range guard precedes any zeta overflow
+    return 6.0 * riemann_zeta(s / 2.0) * l3
 
 
 @dataclass(frozen=True)

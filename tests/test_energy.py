@@ -12,6 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import rieszcap.energy as energy_mod
+from rieszcap.discrepancy import cui_freeden
 from rieszcap.energy import (
     COINCIDENCE_TOL,
     ball_sphere_ratio,
@@ -36,6 +38,56 @@ mp.mp.dps = 30
 # mpmath, 40 digits: (sqrt3/2)^(-1/2) * 6 zeta(-1/2) L3(-1/2)
 C_2_M1 = -0.22525586485046333507
 HEX_AT_4 = 7.7111457329048964175
+
+
+def _clustered(clusters: int, per: int, spread: float, seed: int) -> PointSet:
+    # points scattered around random centers: many pairs far below _NEAR_R2
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((clusters, 3))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    pts = (c[:, None, :] + spread * rng.standard_normal((clusters, per, 3))).reshape(-1, 3)
+    return PointSet(2, pts / np.linalg.norm(pts, axis=1)[:, None])
+
+
+# Riesz kernels of r at s = -1, 0, 1, 2 without long-double power calls
+_LD_KERNELS = {
+    -1.0: lambda r: r,
+    0.0: lambda r: -np.log(r),
+    1.0: lambda r: 1 / r,
+    2.0: lambda r: 1 / (r * r),
+}
+
+
+def _long_double_energies(pts: np.ndarray) -> dict:
+    # ordered-pair energies from difference-form distances in long double
+    p = pts.astype(np.longdouble)
+    tot = dict.fromkeys(_LD_KERNELS, np.longdouble(0))
+    for j in range(len(p) - 1):
+        diff = p[j] - p[j + 1 :]
+        r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        for s, kernel in _LD_KERNELS.items():
+            tot[s] += np.sum(kernel(r))
+    return {s: 2 * t for s, t in tot.items()}
+
+
+def _long_double_gradient(pts: np.ndarray, s: float) -> np.ndarray:
+    # tangential gradient of the ordered-pair energy, difference form, long double
+    p = pts.astype(np.longdouble)
+    g = np.empty_like(p)
+    for j in range(len(p)):
+        diff = p[j] - p
+        r2 = np.einsum("ij,ij->i", diff, diff)
+        r2[j] = 1
+        if s == -1.0:
+            w = 1 / np.sqrt(r2)
+        elif s == 0.0:
+            w = -1 / r2
+        else:
+            w = -s * r2 ** np.longdouble(-s / 2 - 1)
+        w[j] = 0
+        g[j] = 2 * np.sum(w[:, None] * diff, axis=0)
+    g -= np.einsum("ij,ij->i", g, p)[:, None] * p
+    return g
 
 
 def _exact_circle_energy(n: int) -> float:
@@ -101,6 +153,54 @@ def test_close_pair_in_large_set():
     e = riesz_energy(X, 1.0)
     assert math.isfinite(e)
     assert e == pytest.approx(want, rel=1e-13)
+
+
+def test_energy_matches_long_double_sum():
+    # Within one rounding of the total, on a uniform set and on a clustered
+    # one whose many near pairs go through the difference-form recompute.
+    for X in (random_uniform(2, 2500, 6), _clustered(24, 100, 0.02, 5)):
+        for s, want in _long_double_energies(X.points).items():
+            got = riesz_energy(X, s)
+            assert abs(float((np.longdouble(got) - want) / want)) <= 2e-16, (X.n, s)
+
+
+def test_multi_block_walk_matches_one_block(monkeypatch):
+    # 50 points in row strips of 7 (the last one short): each strip's square
+    # and the pairs past it, against the walk of the whole matrix at once
+    X = random_uniform(2, 50, 23)
+    powers = (-1.0, 0.0, 1.0, 2.0)
+    whole = [riesz_energy(X, s) for s in powers]
+    whole_cf = cui_freeden(X).diagnostics["kernel_mean"]
+    whole_g = [riesz_gradient(X, s) for s in powers]
+    monkeypatch.setattr(energy_mod, "_BLOCK", 7 * X.n)
+    for s, e, g in zip(powers, whole, whole_g):
+        assert riesz_energy(X, s) == pytest.approx(e, rel=1e-15, abs=0.0), s
+        e2, g2 = riesz_energy_and_gradient(X, s)
+        assert e2 == riesz_energy(X, s)
+        assert np.max(np.abs(g2 - g)) <= 1e-13 * np.max(np.abs(g)), s
+    assert cui_freeden(X).diagnostics["kernel_mean"] == pytest.approx(whole_cf, rel=1e-15, abs=0.0)
+
+
+def test_multi_block_coincident_and_close_pairs(monkeypatch):
+    monkeypatch.setattr(energy_mod, "_BLOCK", 7 * 50)
+    pts = random_uniform(2, 50, 24).points.copy()
+    # a coincident pair with one point in strip 1 and the other in strip 5
+    pts[35] = pts[10]
+    dup = PointSet(2, pts)
+    for s in (0.0, 1.0):
+        with pytest.raises(CoincidentPointsError):
+            riesz_energy(dup, s)
+    iu = np.triu_indices(50, k=1)
+    r = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
+    assert riesz_energy(dup, -1.0) == pytest.approx(2.0 * math.fsum(r), rel=1e-15)
+    # a pair 1e-6 apart across the boundary between strips 1 and 2
+    pts = random_uniform(2, 50, 25).points.copy()
+    tangent = np.cross(pts[13], [1.0, 0.0, 0.0])
+    pts[14] = pts[13] + 1e-6 * tangent / np.linalg.norm(tangent)
+    pts[14] /= np.linalg.norm(pts[14])
+    r = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
+    assert r.min() < 2e-6
+    assert riesz_energy(PointSet(2, pts), 1.0) == pytest.approx(2.0 * math.fsum(1.0 / r), rel=1e-13)
 
 
 def test_rotation_invariance():
@@ -185,6 +285,16 @@ def test_gradient_directional_derivative():
 
         numeric = (e_at(h) - e_at(-h)) / (2.0 * h)
         assert analytic == pytest.approx(numeric, rel=2e-7), s
+
+
+def test_gradient_matches_long_double_reference():
+    # N=600 walks three row strips; the Gram-form distances and the
+    # cancellation in sum_k W_jk (x_j - x_k) stay near 1e-13 of max|g|
+    X = random_uniform(2, 600, 26)
+    for s in (-1.0, 0.0, 1.0):
+        want = _long_double_gradient(X.points, s)
+        err = float(np.max(np.abs(riesz_gradient(X, s) - want)))
+        assert err <= 5e-13 * float(np.max(np.abs(want))), s
 
 
 def test_fused_energy_gradient_consistent():

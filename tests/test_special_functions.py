@@ -14,6 +14,7 @@ import pytest
 
 from rieszcap.errors import DomainError, PoleError, RangeError
 from rieszcap.special_functions import (
+    EM_MIN_S,
     bernoulli_table,
     dirichlet_L3,
     gamma_fn,
@@ -213,6 +214,27 @@ def test_hex_zeta_frozen_values():
 def test_hex_zeta_pole():
     with pytest.raises(PoleError):
         hex_lattice_zeta(2.0)
+
+
+@pytest.mark.parametrize("s", [-6.5, -20.0, -40.0])
+def test_zeta_range_guard(s):
+    # Below s = -6 the Euler-Maclaurin head and pole term cancel beyond
+    # 80-bit accumulation (hurwitz_zeta(-40, 1/2) used to return 3.3e27
+    # where the value is 0): raise instead of answering.
+    with pytest.raises(RangeError):
+        hurwitz_zeta(s, 0.5)
+    with pytest.raises(RangeError):
+        dirichlet_L3(s)
+    with pytest.raises(RangeError):
+        hex_lattice_zeta(2.0 * s)
+    # zeta reflects onto 1 - s > 1 and keeps answering
+    assert math.isfinite(riemann_zeta(s))
+
+
+def test_zeta_range_guard_edge():
+    assert hurwitz_zeta(EM_MIN_S, 1.0) == pytest.approx(0.0, abs=1e-13)
+    assert math.isfinite(dirichlet_L3(EM_MIN_S))
+    assert math.isfinite(hex_lattice_zeta(2.0 * EM_MIN_S))
 
 
 def test_hex_zeta_within_direct_sum_tail():
