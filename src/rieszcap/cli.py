@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -89,13 +88,12 @@ _SPEC = {
         "seed": (int, 0, None),
         "format": (_FORMATS, "csv", None),
     },
-    "energy": {"s": (float, REQUIRED, None), "format": (_FORMATS, "json", None)},
+    "energy": {"s": (float, REQUIRED, None)},
     "disc": {
         "kind": (_DISC_KINDS, REQUIRED, None),
         "centers": (int, 1024, None),
         "seed": (int, 0, None),
         "degree": (int, 64, "harmonic degree cutoff L"),
-        "format": (_FORMATS, "json", None),
     },
     "optimize": {
         "s": (float, REQUIRED, None),
@@ -104,21 +102,19 @@ _SPEC = {
         "max_iters": (int, 2000, None),
         "grad_tol": (float, 1e-9, None),
         "step_init": (float, 0.1, None),
-        "format": (_FORMATS, "json", None),
     },
-    "constants": {"name": (str, None, None), "format": (_FORMATS, "json", None)},
+    "constants": {"name": (str, None, None)},
     "predict": {
         "ns": (str, "4,8,16,32,64,128,256", "comma list of N values"),
         "p": (int, 2, "expansion order"),
         "format": (_FORMATS, "csv", None),
     },
-    "fit": {"format": (_FORMATS, "json", None)},
+    "fit": {},
     "verify": {
         "suite": (_SUITES, REQUIRED, None),
         "d": (int, 2, None),
         "n": (int, 100, None),
         "seed": (int, 1, None),
-        "format": (_FORMATS, "json", None),
     },
 }
 
@@ -130,10 +126,8 @@ _FILE_FLAGS = {
     "--config": {"help": "JSON file of parameter overrides"},
     "--points-out": {"help": "write optimized points (CSV)"},
     "--trace-out": {"help": "write per-iteration trace (CSV)"},
-    "--threads": {"type": int, "help": "worker threads (default 1)"},
+    "--threads": {"type": int, "default": 1, "help": "worker threads (default 1)"},
 }
-
-_TABULAR = {"gen", "predict"}  # commands where --format csv makes sense
 
 
 def _json_default(obj):
@@ -211,24 +205,10 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
         flag_val = getattr(args, key)
         if flag_val is not None:
             params[key] = flag_val
-    if params["format"] == "csv" and command not in _TABULAR:
-        raise ValidationError(f"'{command}' output is JSON only; csv is for {sorted(_TABULAR)}")
     for key, value in params.items():
         if value is REQUIRED:
             raise ValidationError(f"'{command}' requires --{key.replace('_', '-')}")
     return params
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TOOLKIT_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"TOOLKIT_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 # Handlers take the resolved, typed params and return (result, seed) for
@@ -306,7 +286,7 @@ def _cmd_optimize(params: dict, args) -> tuple:
         seed=params["seed"],
         step_init=params["step_init"],
     )
-    res = optimize(X0, cfg, keep_trace=args.trace_out is not None, threads=_threads(args))
+    res = optimize(X0, cfg, keep_trace=args.trace_out is not None, threads=args.threads)
     if args.points_out:
         write_pointset(res.best, args.points_out)
     if args.trace_out:

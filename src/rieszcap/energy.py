@@ -233,20 +233,6 @@ def ball_sphere_ratio(d: int) -> float:
     ) / (d * math.sqrt(math.pi))
 
 
-def boundary_leading_term(d: int, n: float) -> float:
-    """Leading term ratio(d) N^2 log N of the boundary-case s=d energy.
-
-    N is integer in practice; real N >= 2 accepted for formal checks.
-    """
-    d = _require_int("d", d, 1)
-    if d < 2:
-        raise DomainError(f"boundary leading term needs d >= 2, got {d}")
-    n = _require_finite("n", float(n))
-    if n < 2.0:
-        raise DomainError(f"N must be >= 2, got {n}")
-    return ball_sphere_ratio(d) * n * n * math.log(n)
-
-
 def conjectured_C(d: int, s: float) -> float:
     """Conjectured second-order energy coefficient C_{s,d}.
 

@@ -35,21 +35,6 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-# ----------------------------------------------------------------------------
-# gamma and friends
-
-def gamma_fn(x: float) -> float:
-    """Real gamma function.
-
-    Raises PoleError at nonpositive integers and lets OverflowError escape
-    when the true value exceeds float range (x >~ 171.6).
-    """
-    x = _require_finite("x", x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at nonpositive integer x={x}")
-    return math.gamma(x)
-
-
 def sphere_surface_area(d: int) -> float:
     """Surface measure of the unit sphere S^d in R^(d+1): 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
     d = _require_int("d", d, 1)
@@ -357,44 +342,3 @@ def sinc_power_coeffs(s: float, p: int) -> SeriesCoeffs:
     for n in range(1, p + 1):
         alpha[n] = math.fsum(k * c[k] * alpha[n - k] for k in range(1, n + 1)) / n
     return SeriesCoeffs(s=s, coeffs=tuple(alpha), order=p)
-
-
-# ----------------------------------------------------------------------------
-# Legendre polynomials and harmonic space dimensions
-
-def legendre_P(l: int, t):
-    """Legendre polynomial P_l(t), scalar or elementwise on arrays, |t| <= 1.
-
-    Three-term recurrence; stable on [-1, 1] for every degree this package
-    uses (the invariant |P_l| <= 1 holds to float noise through l = 64).
-    """
-    l = _require_int("l", l, 0)
-    arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("t must be finite")
-    if np.any(np.abs(arr) > 1.0):
-        raise DomainError("legendre_P requires |t| <= 1")
-    if l == 0:
-        out = np.ones_like(arr)
-    elif l == 1:
-        out = arr.copy()
-    else:
-        pkm1 = np.ones_like(arr)
-        pk = arr.copy()
-        for k in range(1, l):
-            pkp1 = ((2 * k + 1) * arr * pk - k * pkm1) / (k + 1)
-            pkm1, pk = pk, pkp1
-        out = pk
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out)
-    return out
-
-
-def harmonic_dim(d: int, l: int) -> int:
-    """Dimension of degree-l spherical harmonics on S^d, exact integer."""
-    d = _require_int("d", d, 1)
-    l = _require_int("l", l, 0)
-    if l == 0:
-        return 1
-    # (2l + d - 1) / l * C(l + d - 2, l - 1), always an integer.
-    return (2 * l + d - 1) * math.comb(l + d - 2, l - 1) // l

@@ -24,7 +24,7 @@ from rieszcap.energy import (
     riesz_energy,
     riesz_gradient,
 )
-from rieszcap.optimizer import OptimizerConfig, finite_diff_gradient, optimize
+from rieszcap.optimizer import OptimizerConfig, optimize
 from rieszcap.pointsets import PointSet, random_uniform, roots_of_unity
 from rieszcap.special_functions import (
     bernoulli_table,
@@ -33,6 +33,8 @@ from rieszcap.special_functions import (
     riemann_zeta,
     sinc_power_coeffs,
 )
+
+from oracles import finite_diff_gradient
 
 
 def _line(num: int, ok: bool, text: str) -> None:

@@ -194,14 +194,9 @@ def test_optimize_threads_match_serial(monkeypatch, capsys):
     text = dumps_pointset(random_uniform(2, 6, seed=2))
     argv = ["optimize", "--s", "-1", "--restarts", "3", "--seed", "4"]
     code1, out1, _ = run_cli(argv, text, monkeypatch, capsys)
-    monkeypatch.setenv("TOOLKIT_THREADS", "3")
-    code2, out2, _ = run_cli(argv, text, monkeypatch, capsys)
+    code2, out2, _ = run_cli(argv + ["--threads", "3"], text, monkeypatch, capsys)
     assert code1 == code2 == 0
-    assert json.loads(out1)["result"]["energy"] == json.loads(out2)["result"]["energy"]
-    assert (
-        json.loads(out1)["result"]["restart_energies"]
-        == json.loads(out2)["result"]["restart_energies"]
-    )
+    assert json.loads(out1)["result"] == json.loads(out2)["result"]
 
 
 # ------------------------------------------------------------- constants
@@ -332,7 +327,8 @@ def test_config_unknown_key_rejected(tmp_path, monkeypatch, capsys):
         ("gen", {"kind": "roots-of-unity", "n": "abc"}),
         ("gen", {"kind": "roots-of-unity", "n": 3.7}),
         ("gen", {"kind": "roots-of-unity", "n": True}),
-        ("energy", {"s": -1, "format": "xml"}),
+        ("energy", {"s": "xml"}),
+        ("disc", {"kind": "xml"}),
     ],
 )
 def test_config_values_checked_like_flags(command, config, tmp_path, monkeypatch, capsys):
@@ -356,7 +352,6 @@ _OPTIMIZE_PARAMS = {
     "max_iters": 2000,
     "grad_tol": 1e-09,
     "step_init": 0.1,
-    "format": "json",
 }
 
 
@@ -366,7 +361,7 @@ _OPTIMIZE_PARAMS = {
         (
             ["disc", "--kind", "l2"],
             None,
-            {"kind": "l2", "centers": 1024, "seed": 0, "degree": 64, "format": "json"},
+            {"kind": "l2", "centers": 1024, "seed": 0, "degree": 64},
         ),
         (["optimize", "--s", "-1"], None, _OPTIMIZE_PARAMS),
         (["optimize"], {"s": -1}, _OPTIMIZE_PARAMS),
@@ -391,8 +386,14 @@ def test_envelope_params_documented(argv, config, params, tmp_path, monkeypatch,
 # ------------------------------------------------------------ exit codes
 
 def test_usage_error_maps_to_one(monkeypatch, capsys):
+    from rieszcap.pointsets import dumps_pointset
+
     assert run_cli(["disc", "--kind", "no-such-kind"], None, monkeypatch, capsys)[0] == 1
     assert run_cli(["no-such-command"], None, monkeypatch, capsys)[0] == 1
+    text = dumps_pointset(roots_of_unity(3))
+    code, _, err = run_cli(["optimize", "--s", "-1", "--threads", "0"], text, monkeypatch, capsys)
+    assert code == 1
+    assert "threads" in err
 
 
 def test_threads_only_on_optimize(monkeypatch, capsys):
@@ -423,13 +424,13 @@ def test_file_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
     assert str(tmp_path) in err
 
 
-_COMMON_FLAGS = {"--help", "--format", "--out", "--config"}
+_COMMON_FLAGS = {"--help", "--out", "--config"}
 
 
 @pytest.mark.parametrize(
     "command,flags",
     [
-        ("gen", {"--kind", "--d", "--n", "--seed"}),
+        ("gen", {"--kind", "--d", "--n", "--seed", "--format"}),
         ("energy", {"--s", "--in"}),
         ("disc", {"--kind", "--centers", "--seed", "--degree", "--in"}),
         (
@@ -448,7 +449,7 @@ _COMMON_FLAGS = {"--help", "--format", "--out", "--config"}
             },
         ),
         ("constants", {"--name"}),
-        ("predict", {"--ns", "--p"}),
+        ("predict", {"--ns", "--p", "--format"}),
         ("fit", {"--in"}),
         ("verify", {"--suite", "--d", "--n", "--seed"}),
     ],
@@ -460,16 +461,16 @@ def test_help_lists_exactly_the_command_flags(command, flags, monkeypatch, capsy
 
 
 def test_csv_format_rejected_for_json_commands(monkeypatch, capsys):
+    # these commands write JSON only, so --format, csv or json, is no flag of theirs
     from rieszcap.pointsets import dumps_pointset
 
-    code, _, err = run_cli(
-        ["disc", "--kind", "l2", "--format", "csv"],
-        dumps_pointset(roots_of_unity(4)),
-        monkeypatch,
-        capsys,
-    )
-    assert code == 1
-    assert "JSON only" in err
+    text = dumps_pointset(roots_of_unity(4))
+    for command in ("energy", "disc", "optimize", "constants", "fit", "verify"):
+        for value in ("csv", "json"):
+            code, out, err = run_cli([command, "--format", value], text, monkeypatch, capsys)
+            assert code == 1, (command, value)
+            assert out == ""
+            assert "--format" in err
 
 
 def test_version_flag(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from rieszcap.discrepancy import cui_freeden
 from rieszcap.energy import (
     COINCIDENCE_TOL,
     ball_sphere_ratio,
-    boundary_leading_term,
     conjectured_C,
     continuous_energy,
     energy_report,
@@ -387,19 +386,6 @@ def test_ball_sphere_ratio_large_d():
     assert ball_sphere_ratio(d) * math.sqrt(d) == pytest.approx(
         1.0 / math.sqrt(2.0 * math.pi), rel=0.01
     )
-
-
-def test_boundary_leading_term():
-    e = math.e
-    assert boundary_leading_term(2, e) == pytest.approx(0.25 * e * e, rel=1e-14)
-    assert boundary_leading_term(2, 100) == pytest.approx(2500.0 * math.log(100.0), rel=1e-14)
-    assert boundary_leading_term(3, 100) == pytest.approx(
-        2.0 / (3.0 * math.pi) * 1e4 * math.log(100.0), rel=1e-13
-    )
-    with pytest.raises(DomainError):
-        boundary_leading_term(1, 10)
-    with pytest.raises(DomainError):
-        boundary_leading_term(2, 1)
 
 
 def test_conjectured_C_values():

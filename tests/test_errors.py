@@ -9,11 +9,11 @@ from rieszcap.asymptotics import predicted_l2_roots_of_unity, roots_of_unity_ene
 from rieszcap.discrepancy import sample_centers, sigma_cap, weyl_sums
 from rieszcap.energy import (
     ball_sphere_ratio,
-    boundary_leading_term,
     conjectured_C,
     continuous_energy,
 )
 from rieszcap.errors import DomainError, RangeError
+from rieszcap.optimizer import OptimizerConfig, optimize
 from rieszcap.pointsets import (
     fibonacci_sphere,
     hammersley_square,
@@ -22,8 +22,6 @@ from rieszcap.pointsets import (
 )
 from rieszcap.special_functions import (
     bernoulli_table,
-    harmonic_dim,
-    legendre_P,
     sinc_power_coeffs,
     sphere_surface_area,
 )
@@ -33,14 +31,10 @@ _FIB = fibonacci_sphere(10)
 # (call with the integer under test, minimum, guard or None)
 INTEGER_PARAMETERS = {
     "sphere_surface_area.d": (lambda v: sphere_surface_area(v), 1, None),
-    "harmonic_dim.d": (lambda v: harmonic_dim(v, 2), 1, None),
-    "harmonic_dim.l": (lambda v: harmonic_dim(2, v), 0, None),
     "bernoulli_table.m": (lambda v: bernoulli_table(v), 0, 64),
     "sinc_power_coeffs.p": (lambda v: sinc_power_coeffs(-1.0, v), 0, 32),
-    "legendre_P.l": (lambda v: legendre_P(v, 0.5), 0, None),
     "continuous_energy.d": (lambda v: continuous_energy(v, -1.0), 1, None),
     "ball_sphere_ratio.d": (lambda v: ball_sphere_ratio(v), 1, None),
-    "boundary_leading_term.d": (lambda v: boundary_leading_term(v, 10.0), 1, None),
     "conjectured_C.d": (lambda v: conjectured_C(v, -1.0), 1, None),
     "roots_of_unity.n": (lambda v: roots_of_unity(v), 1, None),
     "random_uniform.d": (lambda v: random_uniform(v, 5, 0), 1, None),
@@ -49,6 +43,9 @@ INTEGER_PARAMETERS = {
     "hammersley_square.m": (lambda v: hammersley_square(v), 0, 24),
     "sigma_cap.d": (lambda v: sigma_cap(v, 0.5), 1, None),
     "sample_centers.m": (lambda v: sample_centers(2, v, 0), 1, None),
+    "optimize.threads": (
+        lambda v: optimize(_FIB, OptimizerConfig(s=-1.0, max_iters=1), threads=v), 1, None
+    ),
     "weyl_sums.L": (lambda v: weyl_sums(_FIB, v), 1, 256),
     "roots_of_unity_energy_expansion.N": (
         lambda v: roots_of_unity_energy_expansion(-1.0, v, 2), 1, None

@@ -5,8 +5,10 @@ import pytest
 
 from rieszcap.energy import riesz_energy, riesz_gradient
 from rieszcap.errors import CoincidentPointsError, DomainError, ValidationError
-from rieszcap.optimizer import OptimizerConfig, finite_diff_gradient, optimize
+from rieszcap.optimizer import OptimizerConfig, optimize
 from rieszcap.pointsets import PointSet, random_uniform, roots_of_unity
+
+from oracles import finite_diff_gradient
 
 
 def _antipodal_s1():

@@ -17,12 +17,9 @@ from rieszcap.special_functions import (
     EM_MIN_S,
     bernoulli_table,
     dirichlet_L3,
-    gamma_fn,
-    harmonic_dim,
     hex_lattice_zeta,
     hurwitz_zeta,
     lattice_sum_direct,
-    legendre_P,
     riemann_zeta,
     sinc_power_coeffs,
     sphere_surface_area,
@@ -31,7 +28,6 @@ from rieszcap.special_functions import (
 mp.mp.dps = 40
 
 # mpmath, 40 digits
-GAMMA_3P5 = 3.3233509704478425512
 ZETA_M0P5 = -0.20788622497735456602
 ZETA_0P5 = -1.4603545088095868129
 ZETA_3 = 1.2020569031595942854
@@ -45,31 +41,6 @@ HEX_AT_4 = 7.7111457329048964175
 HEX_AT_6 = 6.3758815528298469067
 HEX_AT_M1 = -0.20962420237108702148
 LATTICE_10_10 = 6.0314391150419164435
-
-
-# ---------------------------------------------------------------- gamma
-
-def test_gamma_half_integer_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(6.0) == pytest.approx(120.0, rel=1e-15)
-    assert gamma_fn(3.5) == pytest.approx(GAMMA_3P5, rel=1e-14)
-
-
-def test_gamma_recurrence_on_grid():
-    for x in np.arange(0.1, 10.0001, 0.1):
-        x = float(x)
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_poles_and_overflow():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
-            gamma_fn(x)
-    with pytest.raises(OverflowError):
-        gamma_fn(200.0)
-    with pytest.raises(DomainError):
-        gamma_fn(float("nan"))
 
 
 def test_sphere_surface_area():
@@ -339,58 +310,3 @@ def test_sinc_coeffs_guard():
         sinc_power_coeffs(1.0, 33)
     with pytest.raises(DomainError):
         sinc_power_coeffs(1.0, -1)
-
-
-# ------------------------------------------------------------- legendre
-
-def test_legendre_low_degrees():
-    assert legendre_P(0, 0.3) == 1.0
-    assert legendre_P(1, 0.3) == pytest.approx(0.3, rel=1e-15)
-    assert legendre_P(2, 0.5) == pytest.approx(-0.125, rel=1e-14)
-    for t in (-0.9, -0.3, 0.2, 0.8):
-        assert legendre_P(3, t) == pytest.approx(0.5 * (5 * t**3 - 3 * t), rel=1e-13)
-
-
-def test_legendre_bounds_and_endpoint():
-    grid = np.linspace(-1.0, 1.0, 201)
-    for l in range(0, 65):
-        vals = legendre_P(l, grid)
-        assert np.all(np.abs(vals) <= 1.0 + 1e-12), l
-        assert legendre_P(l, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert legendre_P(l, -1.0) == pytest.approx((-1.0) ** l, abs=1e-12)
-
-
-def test_legendre_domain():
-    with pytest.raises(DomainError):
-        legendre_P(3, 1.0001)
-    with pytest.raises(DomainError):
-        legendre_P(-1, 0.5)
-
-
-def test_legendre_array_shape():
-    t = np.array([[0.0, 0.5], [-0.5, 1.0]])
-    out = legendre_P(2, t)
-    assert out.shape == (2, 2)
-    assert out[0, 1] == pytest.approx(-0.125)
-
-
-# ---------------------------------------------------------- harmonic dims
-
-def test_harmonic_dim_values():
-    assert harmonic_dim(2, 0) == 1
-    assert harmonic_dim(2, 5) == 11
-    assert harmonic_dim(3, 2) == 9
-
-
-def test_harmonic_dim_closed_forms():
-    for l in range(1, 20):
-        assert harmonic_dim(1, l) == 2
-        assert harmonic_dim(2, l) == 2 * l + 1
-        assert harmonic_dim(3, l) == (l + 1) ** 2
-
-
-def test_harmonic_dim_guards():
-    with pytest.raises(DomainError):
-        harmonic_dim(0, 3)
-    with pytest.raises(DomainError):
-        harmonic_dim(2, -1)
