@@ -38,7 +38,7 @@ from .energy import (
     continuous_energy,
     energy_report,
 )
-from .errors import InputError, NumericalContractError, ParseError, ValidationError
+from .errors import InputError, NumericalContractError, ParseError, ValidationError, _require_int
 from .optimizer import OptimizerConfig, optimize
 from .pointsets import (
     PointSet,
@@ -433,7 +433,7 @@ def _cmd_fit(params: dict, args) -> tuple:
 
 def _suite_stolarsky(d: int, n: int, seed: int) -> dict:
     reps = 20
-    children = np.random.SeedSequence(seed).spawn(reps)
+    children = np.random.SeedSequence(_require_int("seed", seed, 0)).spawn(reps)
     v = continuous_energy(d, -1.0)
     ratio = ball_sphere_ratio(d)
     worst = 0.0

@@ -2,7 +2,8 @@
 
 Six report kinds:
   L2CapClosed   closed form through the distance-sum identity
-  L2CapDirect   Monte-Carlo over cap centers, exact threshold integral
+  L2CapDirect   Monte-Carlo over cap centers, exact threshold integral for
+                every d (one sort per center, floor ~1e-15 absolute per center)
   CuiFreeden    generalized discrepancy with the 2 log(1 + r/2) kernel (S^2)
   SumDistance   sqrt(4/3 - mean distance) generalized discrepancy (S^2)
   CapSupLower   sampled lower bound on the sup-cap discrepancy
@@ -29,7 +30,7 @@ from .errors import (
     NumericalContractError,
     _require_int,
 )
-from .pointsets import PointSet
+from .pointsets import PointSet, _seeded_rng
 from .special_functions import sphere_surface_area
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
@@ -124,20 +125,20 @@ def sample_centers(d: int, m: int, seed) -> np.ndarray:
     draws it: sample_centers(d, m, k)[:n] equals random_uniform(d, n, k).points
     for n <= m, so centers and points must not share a seed."""
     m = _require_int("centers", m, 1)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     g = rng.standard_normal((m, d + 1))
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
-def _sorted_projections(X: PointSet, centers: np.ndarray, per_entry: int = 1):
+def _sorted_projections(X: PointSet, centers: np.ndarray):
     """Yield (rows, u) over blocks of centers: u[i] holds <centers[rows][i], x_j>
     clipped to [-1, 1] and sorted.  A block keeps u's N+1 threshold segments
-    times `per_entry` values per segment within energy._BLOCK entries, so
-    memory stays bounded for every N and number of centers.  The block height
-    is a power of two so that blocks start on BLAS row-tile boundaries; with
-    two or more centers per block the projections then match one whole-matrix
-    product bit for bit (checked with OpenBLAS)."""
-    fit = max(1, _BLOCK // ((X.n + 1) * per_entry))
+    within energy._BLOCK entries, so memory stays bounded for every N and
+    number of centers.  The block height is a power of two so that blocks
+    start on BLAS row-tile boundaries; with two or more centers per block the
+    projections then match one whole-matrix product bit for bit (checked with
+    OpenBLAS)."""
+    fit = max(1, _BLOCK // (X.n + 1))
     height = 1 << (fit.bit_length() - 1)
     for start in range(0, centers.shape[0], height):
         rows = slice(start, start + height)
@@ -146,55 +147,46 @@ def _sorted_projections(X: PointSet, centers: np.ndarray, per_entry: int = 1):
         yield rows, u
 
 
-def _int_arccos(t):  # int arccos t dt
-    return t * np.arccos(t) - np.sqrt(np.maximum(1.0 - t * t, 0.0))
-
-
-def _int_arccos_sq(t):  # int arccos^2 t dt
-    ac = np.arccos(t)
-    rt = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    return t * ac * ac - 2.0 * rt * ac - 2.0 * t
+def _sigma_sq_integral(d: int) -> float:
+    """int_{-1}^{1} sigma_d(t)^2 dt = 1 - (2 c_d^2/d) sqrt(pi) Gamma(d)/Gamma(d + 1/2)."""
+    c = d * ball_sphere_ratio(d)
+    return 1.0 - (2.0 * c * c / d) * math.exp(
+        0.5 * math.log(math.pi) + math.lgamma(d) - math.lgamma(d + 0.5)
+    )
 
 
 def _direct_dsq_per_center(X: PointSet, centers: np.ndarray) -> np.ndarray:
-    """Exact t-integral int_{-1}^{1} (count(x,t)/N - sigma_d(t))^2 dt per center."""
-    n = X.n
-    d = X.d
-    # empirical cap fraction per segment: N/N, (N-1)/N, ..., 0
-    q = (np.arange(n, -1, -1, dtype=np.float64) / n)[None, :]
-    # general d: fixed Gauss-Legendre rule per segment (no closed primitive)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    """Exact t-integral int_{-1}^{1} (F(t) - sigma_d(t))^2 dt per center x,
+    with u_j = <x, x_j> and F(t) = #{j : u_j >= t}/N, in one closed form for
+    every d.  Expanding the square, with c_d = d * ball_sphere_ratio(d):
+
+      int F^2         = 1 + N^-2 sum_{j,k} min(u_j, u_k)
+                      = 1 + N^-2 sum_i (2(N - i) + 1) u_(i),  u ascending, i = 1..N
+      int F sigma_d   = N^-1 sum_j S_d(u_j),  S_d(t) = int_{-1}^t sigma_d
+                      = 1 + t sigma_d(t) - (c_d/d) (1 - t^2)^(d/2)
+      int sigma_d^2   = 1 - (2 c_d^2/d) sqrt(pi) Gamma(d)/Gamma(d + 1/2)
+
+    One sort and one matrix-vector product per block of centers.  The O(1)
+    terms cancel down to D^2, so the result carries an absolute floor of
+    about 1e-15 per center (a few ulps of 1), not one relative to D^2."""
+    n, d = X.n, X.d
+    c = d * ball_sphere_ratio(d)
+    # N^-2 sum_{j,k} min(u_j, u_k) = u @ w; the ones of the three terms fold
+    # into the constant 1 - 2 + int sigma_d^2
+    w = np.arange(2 * n - 1, 0, -2, dtype=np.float64) / (n * n)
+    constant = _sigma_sq_integral(d) - 1.0
     out = np.empty(centers.shape[0])
-    for rows, u in _sorted_projections(X, centers, 1 if d in (1, 2) else nodes.size):
-        lo = np.concatenate([np.full((u.shape[0], 1), -1.0), u], axis=1)
-        hi = np.concatenate([u, np.full((u.shape[0], 1), 1.0)], axis=1)
-        if d == 2:
-            # integrand (a + t/2)^2 with a = q - 1/2; antiderivative (2/3)(a + t/2)^3
-            a = q - 0.5
-            prim = lambda t: (2.0 / 3.0) * (a + 0.5 * t) ** 3
-            seg = prim(hi) - prim(lo)
-        elif d == 1:
-            # int (q - arccos(t)/pi)^2 dt with exact antiderivatives
-            seg = (
-                q * q * (hi - lo)
-                - (2.0 * q / math.pi) * (_int_arccos(hi) - _int_arccos(lo))
-                + (_int_arccos_sq(hi) - _int_arccos_sq(lo)) / math.pi**2
-            )
-        else:
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            t = mid[..., None] + half[..., None] * nodes  # (rows, N+1, 32)
-            sig = _sigma_cap_values(d, t.reshape(-1)).reshape(t.shape)
-            integrand = (q[..., None] - sig) ** 2
-            seg = half * np.sum(integrand * weights, axis=-1)
-        out[rows] = seg.sum(axis=1)
+    for rows, u in _sorted_projections(X, centers):
+        s = u * _sigma_cap_values(d, u) - (c / d) * (1.0 - u * u) ** (0.5 * d)
+        out[rows] = u @ w - (2.0 / n) * s.sum(axis=1) + constant
     return out
 
 
 def l2_cap_discrepancy_direct(X: PointSet, centers: int, seed) -> DiscrepancyReport:
     """Monte-Carlo over cap centers with the threshold integral done exactly
-    (piecewise polynomial/arccos primitives for d in {1,2}; fixed quadrature
-    elsewhere).  Reports the standard error of the center average of D^2."""
+    for every d (one sort per center; absolute floor about 1e-15 per center,
+    see _direct_dsq_per_center).  Reports the standard error of the center
+    average of D^2."""
     C = sample_centers(X.d, centers, seed)
     per = _direct_dsq_per_center(X, C)
     dsq = float(per.mean())

@@ -44,10 +44,8 @@ class OptimizerConfig:
         object.__setattr__(self, "s", float(self.s))
         if not self.grad_tol > 0.0:
             raise ValidationError(f"grad_tol must be > 0, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
+        for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), minimum))
         if not self.step_init > 0.0:
             raise ValidationError(f"step_init must be > 0, got {self.step_init}")
 

@@ -101,7 +101,15 @@ def roots_of_unity(n: int) -> PointSet:
     return PointSet(1, np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
-def random_uniform(d: int, n: int, seed: int) -> PointSet:
+def _seeded_rng(seed) -> np.random.Generator:
+    """default_rng for an integer seed >= 0 or a SeedSequence (a restart's
+    child); anything else is a DomainError."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _require_int("seed", seed, 0)
+    return np.random.default_rng(seed)
+
+
+def random_uniform(d: int, n: int, seed) -> PointSet:
     """i.i.d. uniform points on S^d: normalized standard Gaussians.
 
     Deterministic for a given seed (PCG64 behind numpy's default_rng); this
@@ -112,7 +120,7 @@ def random_uniform(d: int, n: int, seed: int) -> PointSet:
     """
     d = _require_int("d", d, 1)
     n = _require_int("n", n, 1)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     g = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(g, axis=1)
     while np.any(norms < 1e-8):  # essentially impossible; keeps the invariant airtight

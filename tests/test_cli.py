@@ -396,6 +396,24 @@ def test_usage_error_maps_to_one(monkeypatch, capsys):
     assert "threads" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "random", "--n", "3", "--seed", "-1"],
+        ["disc", "--kind", "l2-direct", "--seed", "-1"],
+        ["optimize", "--s", "-1", "--seed", "-1"],
+        ["verify", "--suite", "stolarsky", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_one(argv, monkeypatch, capsys):
+    from rieszcap.pointsets import dumps_pointset
+
+    code, out, err = run_cli(argv, dumps_pointset(roots_of_unity(3)), monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_threads_only_on_optimize(monkeypatch, capsys):
     # only optimize has work to spread over threads; elsewhere the flag is unknown
     code, _, err = run_cli(["disc", "--threads", "2"], None, monkeypatch, capsys)

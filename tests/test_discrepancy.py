@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from rieszcap.discrepancy import (
     DiscrepancyReport,
     _cap_sup_given_centers,
     _direct_dsq_per_center,
+    _sigma_sq_integral,
     _sqrt_clamped,
     cap_sup_discrepancy_lower,
     cui_freeden,
@@ -177,6 +179,53 @@ def test_direct_single_point_s2_per_center():
     np.testing.assert_allclose(per, 1.0 / 6.0 + 0.5 * u * u, atol=1e-14)
 
 
+def _per_center_mpmath(points: np.ndarray, center: np.ndarray) -> float:
+    """int_{-1}^{1} (F(t) - sigma_d(t))^2 dt by quadrature on each segment
+    between sorted projections, sigma_d as a regularized incomplete beta."""
+    d = points.shape[1] - 1
+    with mp.workdps(20):
+        u = sorted(mp.mpf(float(v)) for v in np.clip(points @ center, -1.0, 1.0))
+        n, half = len(u), mp.mpf(d) / 2
+        edges = [mp.mpf(-1)] + u + [mp.mpf(1)]
+        total = mp.mpf(0)
+        for i in range(n + 1):
+            q = mp.mpf(n - i) / n  # F on (u_(i), u_(i+1)]
+            total += mp.quad(
+                lambda t: (q - mp.betainc(half, half, 0, (1 - t) / 2, regularized=True)) ** 2,
+                [edges[i], edges[i + 1]],
+            )
+        return float(total)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_direct_per_center_matches_mpmath(d):
+    X = random_uniform(d, 6, seed=30 + d)
+    C = sample_centers(d, 3, 50 + d)
+    ref = [_per_center_mpmath(X.points, c) for c in C]
+    np.testing.assert_allclose(_direct_dsq_per_center(X, C), ref, rtol=0, atol=1e-14)
+
+
+def test_direct_per_center_point_near_antipode_s3():
+    # sigma_3 has a (1 + t)^(3/2) end at t = -1, which a fixed rule misses
+    c = np.array([1.0, 0.0, 0.0, 0.0])
+    pts = np.array(
+        [
+            [-0.9995, math.sqrt(1.0 - 0.9995**2), 0.0, 0.0],
+            [0.3, 0.0, math.sqrt(0.91), 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    per = _direct_dsq_per_center(PointSet(3, pts), c[None, :])
+    assert per[0] == pytest.approx(_per_center_mpmath(pts, c), rel=0, abs=1e-14)
+
+
+def test_sigma_sq_integral_closed_values():
+    assert _sigma_sq_integral(1) == pytest.approx(1.0 - 4.0 / math.pi**2, rel=0, abs=1e-15)
+    assert _sigma_sq_integral(2) == pytest.approx(2.0 / 3.0, rel=0, abs=1e-15)
+    s3 = 1.0 - 128.0 / (45.0 * math.pi**2)
+    assert _sigma_sq_integral(3) == pytest.approx(s3, rel=0, abs=1e-15)
+
+
 def test_direct_single_point_s2_mean():
     rep = l2_cap_discrepancy_direct(_single(2), 20000, 5)
     dsq = rep.diagnostics["d_squared"]
@@ -209,7 +258,7 @@ def test_direct_matches_closed_s1():
     ]
 
 
-def test_direct_quadrature_fallback_s3():
+def test_direct_matches_closed_s3():
     X = random_uniform(3, 20, seed=2)
     rep = l2_cap_discrepancy_direct(X, 2000, 9)
     closed = l2_cap_discrepancy(X).diagnostics["d_squared"]

@@ -39,10 +39,15 @@ INTEGER_PARAMETERS = {
     "roots_of_unity.n": (lambda v: roots_of_unity(v), 1, None),
     "random_uniform.d": (lambda v: random_uniform(v, 5, 0), 1, None),
     "random_uniform.n": (lambda v: random_uniform(2, v, 0), 1, None),
+    "random_uniform.seed": (lambda v: random_uniform(2, 5, v), 0, None),
     "fibonacci_sphere.n": (lambda v: fibonacci_sphere(v), 2, None),
     "hammersley_square.m": (lambda v: hammersley_square(v), 0, 24),
     "sigma_cap.d": (lambda v: sigma_cap(v, 0.5), 1, None),
     "sample_centers.m": (lambda v: sample_centers(2, v, 0), 1, None),
+    "sample_centers.seed": (lambda v: sample_centers(2, 5, v), 0, None),
+    "OptimizerConfig.max_iters": (lambda v: OptimizerConfig(s=-1.0, max_iters=v), 1, None),
+    "OptimizerConfig.restarts": (lambda v: OptimizerConfig(s=-1.0, restarts=v), 1, None),
+    "OptimizerConfig.seed": (lambda v: OptimizerConfig(s=-1.0, seed=v), 0, None),
     "optimize.threads": (
         lambda v: optimize(_FIB, OptimizerConfig(s=-1.0, max_iters=1), threads=v), 1, None
     ),

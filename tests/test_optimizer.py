@@ -37,7 +37,9 @@ def test_config_maximize_autoresolve():
     ],
 )
 def test_config_field_validation(kwargs):
-    with pytest.raises(ValidationError):
+    # integer fields are checked by errors._require_int, the float fields here
+    expected = DomainError if kwargs.keys() & {"max_iters", "restarts"} else ValidationError
+    with pytest.raises(expected):
         OptimizerConfig(s=-1.0, **kwargs)
 
 
