@@ -48,6 +48,7 @@ from .pointsets import (
     lambert_lift,
     loads_pointset,
     random_uniform,
+    read_pointset,
     roots_of_unity,
     write_pointset,
 )
@@ -61,62 +62,9 @@ from .special_functions import (
 
 A2_DIGITS = 0.44679728350408  # published 14-digit value
 
-_GEN_KINDS = ("roots-of-unity", "random", "fibonacci", "hammersley-sphere")
-_DISC_KINDS = (
-    "l2",
-    "l2-direct",
-    "cui-freeden",
-    "sum-distance",
-    "cap-sup-lower",
-    "leveque",
-    "weyl",
-)
-_SUITES = ("stolarsky", "constants", "zeta", "bernoulli")
 _FORMATS = ("json", "csv")
 
 REQUIRED = object()  # spec default of a parameter the user must supply
-
-# The one parameter table: command -> name -> (type, default, help).  A tuple
-# type lists the allowed strings.  It makes the argparse flags, validates
-# --config keys and values, and its order is the order of the envelope's
-# "params".
-_SPEC = {
-    "gen": {
-        "kind": (_GEN_KINDS, REQUIRED, None),
-        "d": (int, None, None),
-        "n": (int, REQUIRED, None),
-        "seed": (int, 0, None),
-        "format": (_FORMATS, "csv", None),
-    },
-    "energy": {"s": (float, REQUIRED, None)},
-    "disc": {
-        "kind": (_DISC_KINDS, REQUIRED, None),
-        "centers": (int, 1024, None),
-        "seed": (int, 0, None),
-        "degree": (int, 64, "harmonic degree cutoff L"),
-    },
-    "optimize": {
-        "s": (float, REQUIRED, None),
-        "restarts": (int, 1, None),
-        "seed": (int, 0, None),
-        "max_iters": (int, 2000, None),
-        "grad_tol": (float, 1e-9, None),
-        "step_init": (float, 0.1, None),
-    },
-    "constants": {"name": (str, None, None)},
-    "predict": {
-        "ns": (str, "4,8,16,32,64,128,256", "comma list of N values"),
-        "p": (int, 2, "expansion order"),
-        "format": (_FORMATS, "csv", None),
-    },
-    "fit": {},
-    "verify": {
-        "suite": (_SUITES, REQUIRED, None),
-        "d": (int, 2, None),
-        "n": (int, 100, None),
-        "seed": (int, 1, None),
-    },
-}
 
 # flags that name files or workers: never parameters, so not in --config or
 # the envelope
@@ -139,11 +87,12 @@ def _json_default(obj):
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _envelope(command: str, params: dict, seed, result, t0: float) -> str:
@@ -159,17 +108,12 @@ def _envelope(command: str, params: dict, seed, result, t0: float) -> str:
 
 
 def _read_points(path: str | None) -> PointSet:
-    if path:
-        from .pointsets import read_pointset
-
-        return read_pointset(path)
-    text = sys.stdin.read()
-    return loads_pointset(text)
+    return read_pointset(path) if path else loads_pointset(sys.stdin.read())
 
 
 def _config_value(command: str, key: str, kind, value):
     """A --config value checked as its flag would be; float params take ints."""
-    if isinstance(kind, tuple):
+    if isinstance(kind, (tuple, dict)):
         ok, want = value in kind, f"one of {', '.join(kind)}"
     else:
         accepted = (int, float) if kind is float else kind
@@ -180,9 +124,11 @@ def _config_value(command: str, key: str, kind, value):
 
 
 def _resolve_params(command: str, args: argparse.Namespace) -> dict:
-    """Spec defaults, then --config overrides, then explicit flags."""
+    """Spec defaults, then --config overrides, then explicit flags.  A
+    parameter that only other kinds take is dropped; setting it is an error."""
     spec = _SPEC[command]
     params = {key: default for key, (_, default, _) in spec.items()}
+    given = set()
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -195,26 +141,41 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
             raise ValidationError("config must be a JSON object of parameter overrides")
         unknown = sorted(set(overrides) - set(params))
         if unknown:
-            raise ValidationError(
-                f"unknown config keys for '{command}': {', '.join(unknown)}"
-            )
+            raise ValidationError(f"unknown config keys for '{command}': {', '.join(unknown)}")
         for key, value in overrides.items():
             if value is not None:  # null leaves the default, like an absent flag
                 params[key] = _config_value(command, key, spec[key][0], value)
+                given.add(key)
     for key in params:
         flag_val = getattr(args, key)
         if flag_val is not None:
             params[key] = flag_val
+            given.add(key)
     for key, value in params.items():
         if value is REQUIRED:
             raise ValidationError(f"'{command}' requires --{key.replace('_', '-')}")
+    for key, (kind, _, _) in spec.items():
+        if isinstance(kind, dict):  # a kind table
+            unused = {p for _, takes in kind.values() for p in takes} - set(kind[params[key]][1])
+            if unused & given:
+                flag = min(unused & given).replace("_", "-")
+                raise ValidationError(f"--{flag} does not apply to --{key} {params[key]}")
+            params = {k: v for k, v in params.items() if k not in unused}
     return params
 
 
-# Handlers take the resolved, typed params and return (result, seed) for
-# main to wrap in the JSON envelope, or None when they wrote their own output.
+# Handlers take the resolved, typed params and return the result for main to
+# wrap in the JSON envelope, or None when they wrote their own output.  Kind
+# tables: kind -> (the function it calls, the parameters only it takes, in order).
 
 # ------------------------------------------------------------------- gen
+
+# _cmd_gen builds each kind's point set itself, so this table names no function
+_GEN_KINDS = {
+    "roots-of-unity": (None, ()), "random": (None, ("seed",)),
+    "fibonacci": (None, ()), "hammersley-sphere": (None, ()),
+}
+
 
 def _cmd_gen(params: dict, args) -> None:
     kind, d, n = params["kind"], params["d"], params["n"]
@@ -243,40 +204,37 @@ def _cmd_gen(params: dict, args) -> None:
 
 # ----------------------------------------------------------------- energy
 
-def _cmd_energy(params: dict, args) -> tuple:
+def _cmd_energy(params: dict, args) -> dict:
     X = _read_points(args.infile)
-    return energy_report(X, params["s"]).to_json(), None
+    return energy_report(X, params["s"]).to_json()
 
 
 # ------------------------------------------------------------------- disc
 
-def _cmd_disc(params: dict, args) -> tuple:
-    kind, seed = params["kind"], params["seed"]
-    centers, degree = params["centers"], params["degree"]
-    X = _read_points(args.infile)
-    used_seed = None
-    if kind == "l2":
-        result = l2_cap_discrepancy(X).to_json()
-    elif kind == "l2-direct":
-        result = l2_cap_discrepancy_direct(X, centers, seed).to_json()
-        used_seed = seed
-    elif kind == "cui-freeden":
-        result = cui_freeden(X).to_json()
-    elif kind == "sum-distance":
-        result = sum_distance_discrepancy(X).to_json()
-    elif kind == "cap-sup-lower":
-        result = cap_sup_discrepancy_lower(X, centers, seed).to_json()
-        used_seed = seed
-    elif kind == "leveque":
-        result = leveque_report(X, degree).to_json()
-    else:  # weyl
-        result = {"kind": "Weyl", "degree": degree, "values": weyl_sums(X, degree)}
-    return result, used_seed
+def _weyl(X: PointSet, degree: int) -> dict:
+    return {"kind": "Weyl", "degree": degree, "values": weyl_sums(X, degree)}
+
+
+_DISC_KINDS = {
+    "l2": (l2_cap_discrepancy, ()),
+    "l2-direct": (l2_cap_discrepancy_direct, ("centers", "seed")),
+    "cui-freeden": (cui_freeden, ()),
+    "sum-distance": (sum_distance_discrepancy, ()),
+    "cap-sup-lower": (cap_sup_discrepancy_lower, ("centers", "seed")),
+    "leveque": (leveque_report, ("degree",)),
+    "weyl": (_weyl, ("degree",)),
+}
+
+
+def _cmd_disc(params: dict, args) -> dict:
+    func, takes = _DISC_KINDS[params["kind"]]
+    result = func(_read_points(args.infile), *(params[p] for p in takes))
+    return result if isinstance(result, dict) else result.to_json()
 
 
 # --------------------------------------------------------------- optimize
 
-def _cmd_optimize(params: dict, args) -> tuple:
+def _cmd_optimize(params: dict, args) -> dict:
     X0 = _read_points(args.infile)
     cfg = OptimizerConfig(
         s=params["s"],
@@ -297,7 +255,7 @@ def _cmd_optimize(params: dict, args) -> tuple:
         ]
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    return res.to_json(), cfg.seed
+    return res.to_json()
 
 
 # -------------------------------------------------------------- constants
@@ -361,23 +319,19 @@ def _constant_registry() -> dict:
     }
 
 
-def _cmd_constants(params: dict, args) -> tuple:
+def _cmd_constants(params: dict, args) -> dict | list:
     registry = _constant_registry()
     name = params["name"]
     if name is None:
-        result = [{"name": k, **v} for k, v in registry.items()]
-    else:
-        if name not in registry:
-            raise ValidationError(
-                f"unknown constant {name!r}; available: {', '.join(registry)}"
-            )
-        result = {"name": name, **registry[name]}
-    return result, None
+        return [{"name": k, **v} for k, v in registry.items()]
+    if name not in registry:
+        raise ValidationError(f"unknown constant {name!r}; available: {', '.join(registry)}")
+    return {"name": name, **registry[name]}
 
 
 # ---------------------------------------------------------------- predict
 
-def _cmd_predict(params: dict, args) -> tuple | None:
+def _cmd_predict(params: dict, args) -> list | None:
     try:
         ns = [int(tok) for tok in params["ns"].split(",") if tok.strip()]
     except ValueError as exc:
@@ -390,7 +344,7 @@ def _cmd_predict(params: dict, args) -> tuple | None:
         measured = l2_cap_discrepancy(roots_of_unity(n)).diagnostics["d_squared"]
         rows.append({"N": n, "predicted_dsq": predicted, "measured_dsq": float(measured)})
     if params["format"] == "json":
-        return rows, None
+        return rows
     lines = ["N,predicted_dsq,measured_dsq"]
     lines += [f"{r['N']},{r['predicted_dsq']!r},{r['measured_dsq']!r}" for r in rows]
     _emit("\n".join(lines), args.out)
@@ -399,7 +353,7 @@ def _cmd_predict(params: dict, args) -> tuple | None:
 
 # -------------------------------------------------------------------- fit
 
-def _cmd_fit(params: dict, args) -> tuple:
+def _cmd_fit(params: dict, args) -> dict:
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
             text = fh.read()
@@ -420,13 +374,12 @@ def _cmd_fit(params: dict, args) -> tuple:
                 continue
             raise ParseError(f"non-numeric row {raw!r}", line=lineno) from None
     fit = power_law_fit(samples)
-    result = {
+    return {
         "slope": fit.slope,
         "intercept_constant": fit.intercept_constant,
         "r_squared": fit.r_squared,
         "points_used": fit.points_used,
     }
-    return result, None
 
 
 # ----------------------------------------------------------------- verify
@@ -518,18 +471,63 @@ def _suite_bernoulli() -> dict:
     return {"suite": "bernoulli", "checks": rows, "tolerance": 1e-12, "pass": bool(ok)}
 
 
-def _cmd_verify(params: dict, args) -> tuple:
-    suite, seed = params["suite"], params["seed"]
-    if suite == "stolarsky":
-        return _suite_stolarsky(params["d"], params["n"], seed), seed
-    if suite == "constants":
-        return _suite_constants(), None
-    if suite == "zeta":
-        return _suite_zeta(), None
-    return _suite_bernoulli(), None
+_SUITES = {
+    "stolarsky": (_suite_stolarsky, ("d", "n", "seed")),
+    "constants": (_suite_constants, ()),
+    "zeta": (_suite_zeta, ()),
+    "bernoulli": (_suite_bernoulli, ()),
+}
+
+
+def _cmd_verify(params: dict, args) -> dict:
+    func, takes = _SUITES[params["suite"]]
+    return func(*(params[p] for p in takes))
 
 
 # ------------------------------------------------------------------ wiring
+
+# The one parameter table: command -> name -> (type, default, help).  A tuple
+# type lists the allowed strings, a kind table the allowed kinds.  It makes
+# the argparse flags, validates --config keys and values, and its order is
+# the order of the envelope's "params".
+_SPEC = {
+    "gen": {
+        "kind": (_GEN_KINDS, REQUIRED, None),
+        "d": (int, None, None),
+        "n": (int, REQUIRED, None),
+        "seed": (int, 0, None),
+        "format": (_FORMATS, "csv", None),
+    },
+    "energy": {"s": (float, REQUIRED, None)},
+    "disc": {
+        "kind": (_DISC_KINDS, REQUIRED, None),
+        "centers": (int, 1024, None),
+        "seed": (int, 0, None),
+        "degree": (int, 64, "harmonic degree cutoff L"),
+    },
+    "optimize": {
+        "s": (float, REQUIRED, None),
+        "restarts": (int, 1, None),
+        "seed": (int, 0, None),
+        "max_iters": (int, 2000, None),
+        "grad_tol": (float, 1e-9, None),
+        "step_init": (float, 0.1, None),
+    },
+    "constants": {"name": (str, None, None)},
+    "predict": {
+        "ns": (str, "4,8,16,32,64,128,256", "comma list of N values"),
+        "p": (int, 2, "expansion order"),
+        "format": (_FORMATS, "csv", None),
+    },
+    "fit": {},
+    "verify": {
+        "suite": (_SUITES, REQUIRED, None),
+        "d": (int, 2, None),
+        "n": (int, 100, None),
+        "seed": (int, 1, None),
+    },
+}
+
 
 # command -> (help, handler, flags it takes besides its spec, --out and --config)
 _COMMANDS = {
@@ -558,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (command_help, handler, file_flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
         for name, (kind, _, flag_help) in _SPEC[command].items():
-            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            typed = {"choices": kind} if isinstance(kind, (tuple, dict)) else {"type": kind}
             p.add_argument("--" + name.replace("_", "-"), help=flag_help, **typed)
         for flag in ("--out", "--config") + file_flags:
             p.add_argument(flag, **_FILE_FLAGS[flag])
@@ -577,10 +575,9 @@ def main(argv=None) -> int:
     try:
         t0 = time.perf_counter()
         params = _resolve_params(args.command, args)
-        returned = args.func(params, args)
-        if returned is not None:
-            result, seed = returned
-            _emit(_envelope(args.command, params, seed, result, t0), args.out)
+        result = args.func(params, args)
+        if result is not None:
+            _emit(_envelope(args.command, params, params.get("seed"), result, t0), args.out)
             if args.command == "verify" and not result["pass"]:
                 raise NumericalContractError(f"verify suite '{params['suite']}' failed")
         return 0

@@ -40,6 +40,7 @@ from .special_functions import (
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
+_HALF_GAMMA_MAX = 2048      # Gamma(k/2) is taken exactly for integers |k| up to this
 _BLOCK = 1 << 17            # pair entries per row strip: 1 MB float strips stay in L2
 _NEAR_R2 = 1e-2             # Gram-form r^2 below this is redone by differences
 
@@ -185,6 +186,35 @@ def _log_abs_gamma(x: float) -> tuple[float, float]:
     return math.lgamma(x), math.copysign(1.0, _sinpi(x))
 
 
+def _half_gamma(k: int) -> tuple[int, int, int]:
+    """Gamma(k/2) = (p / r) sqrt(pi)^e exactly, as integers (p, r, e), for an
+    integer k that is not 0, -2, -4, ... (a pole)."""
+    if k % 2 == 0:
+        return math.factorial(k // 2 - 1), 1, 0
+    n = (k - 1) // 2  # k/2 = n + 1/2
+    if n >= 0:  # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
+        return math.factorial(2 * n), 4**n * math.factorial(n), 1
+    # Gamma(1/2 - m) = (-4)^m m! sqrt(pi) / (2m)!
+    return (-4) ** -n * math.factorial(-n), math.factorial(-2 * n), 1
+
+
+def _half_gamma_quotient(p: int, r: int, e: int, num: tuple, den: tuple) -> float | None:
+    """(p / r) sqrt(pi)^e times Gamma(k/2) for each integer k in `num`,
+    divided by Gamma(k/2) for each k in `den`; None when some k is a pole.
+    The rational part is exact and rounded once (an integer division), so the
+    result is within about an ulp."""
+    if any(k <= 0 and k % 2 == 0 for k in num + den):
+        return None
+    for k in num:
+        gp, gr, ge = _half_gamma(k)
+        p, r, e = p * gp, r * gr, e + ge
+    for k in den:
+        gp, gr, ge = _half_gamma(k)
+        p, r, e = p * gr, r * gp, e - ge
+    scale = math.pi ** (abs(e) // 2) * (math.sqrt(math.pi) if e % 2 else 1.0)
+    return p / r * scale if e >= 0 else p / r / scale
+
+
 def _gamma_ratio(a: float, b: float) -> float:
     # Gamma(a)/Gamma(b) continued across nonpositive arguments.  When both
     # hit nonpositive integers the limit is taken along the s-line, where
@@ -207,6 +237,10 @@ def continuous_energy(d: int, s: float) -> float:
     """V_s(S^d) = 2^(d-s-1) Gamma((d+1)/2) Gamma((d-s)/2) / (sqrt pi Gamma(d-s/2)),
     continued analytically outside the poles (even d: s in {d,...,2d-2};
     odd d: s in {d, d+2, ...}).  The logarithmic case s=0 has no value here.
+    At integer s (2d + |s| <= 2048) every Gamma argument is an integer or a
+    half-integer, and the value is taken from exact rationals and one power
+    of sqrt(pi), within about an ulp: V_{-1}(S^1) is the rounded 4/pi and
+    V_{-1}(S^2) the rounded 4/3.
     """
     d = _require_int("d", d, 1)
     s = _require_finite("s", s)
@@ -214,6 +248,12 @@ def continuous_energy(d: int, s: float) -> float:
         raise DomainError("s=0 logarithmic energy has no continuous value here")
     if _is_pole_of_V(d, s):
         raise PoleError(f"V_s(S^{d}) pole at s={s}")
+    if s == math.floor(s) and 2 * d + abs(s) <= _HALF_GAMMA_MAX:
+        t = int(s)
+        p, r = (2 ** (d - t - 1), 1) if d - t >= 1 else (1, 2 ** (t + 1 - d))  # 2^(d-s-1)
+        exact = _half_gamma_quotient(p, r, -1, (d + 1, d - t), (2 * d - t,))
+        if exact is not None:  # None at a Gamma pole: the limits below
+            return exact
     ratio = _gamma_ratio((d - s) / 2.0, d - s / 2.0)
     if ratio == 0.0:
         return 0.0
@@ -226,8 +266,12 @@ def continuous_energy(d: int, s: float) -> float:
 
 
 def ball_sphere_ratio(d: int) -> float:
-    """Volume of the unit d-ball over surface of S^d: Gamma((d+1)/2)/(d sqrt(pi) Gamma(d/2))."""
+    """Volume of the unit d-ball over surface of S^d: Gamma((d+1)/2)/(d sqrt(pi) Gamma(d/2)),
+    for d < 2048 from exact rationals and one power of sqrt(pi), within about
+    an ulp (1/pi, 1/4, ...)."""
     d = _require_int("d", d, 1)
+    if d < _HALF_GAMMA_MAX:
+        return _half_gamma_quotient(1, d, -1, (d + 1,), (d,))
     return math.exp(
         math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0)
     ) / (d * math.sqrt(math.pi))

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _require_int
+from .errors import DomainError, ParseError, ValidationError, _require_int
 
 NORM_TOL = 1e-12          # type invariant on every constructed set
-INGEST_NORM_TOL = 1e-9    # looser gate for file ingestion
+INGEST_NORM_TOL = 1e-9    # looser gate for file ingestion, carried by the loaded set
 HAMMERSLEY_MAX_M = 24
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -197,38 +197,17 @@ def _sniff_format(text: str) -> str:
     return "csv"
 
 
-def loads_pointset(text: str, format: str = "auto", renormalize: bool = False) -> PointSet:
+def loads_pointset(text: str, format: str = "auto") -> PointSet:
     if format == "auto":
         format = _sniff_format(text)
     if format == "json":
-        return _load_json(text, renormalize)
+        return _load_json(text)
     if format == "csv":
-        return _load_csv(text, renormalize)
+        return _load_csv(text)
     raise DomainError(f"unknown format {format!r}")
 
 
-def _finish_load(d: int, arr: np.ndarray, renormalize: bool) -> PointSet:
-    if arr.shape[0] < 1:
-        raise ParseError("no data rows")
-    norms = np.linalg.norm(arr, axis=1)
-    dev = np.abs(norms - 1.0)
-    worst = int(np.argmax(dev))
-    if dev[worst] > INGEST_NORM_TOL and not renormalize:
-        raise ValidationError(
-            f"row {worst} has norm {norms[worst]:.17g} (off by {dev[worst]:.3g}); "
-            f"beyond {INGEST_NORM_TOL:g} tolerance, pass renormalize to accept"
-        )
-    if renormalize:
-        if np.any(norms < 1e-300):
-            raise ValidationError("cannot renormalize a zero row")
-        arr = arr / norms[:, None]
-        return PointSet(d, arr)
-    # Accepted rows may sit between the strict 1e-12 invariant and the
-    # documented 1e-9 ingestion gate; the set carries the relaxed tolerance.
-    return PointSet(d, arr, norm_tol=INGEST_NORM_TOL)
-
-
-def _load_csv(text: str, renormalize: bool) -> PointSet:
+def _load_csv(text: str) -> PointSet:
     rows: list[list[float]] = []
     header_d = None
     ncols = None
@@ -265,10 +244,10 @@ def _load_csv(text: str, renormalize: bool) -> PointSet:
     if not rows:
         raise ParseError("no data rows", line=first_data_line)
     d = header_d if header_d is not None else ncols - 1
-    return _finish_load(d, np.asarray(rows, dtype=np.float64), renormalize)
+    return PointSet(d, np.asarray(rows, dtype=np.float64), norm_tol=INGEST_NORM_TOL)
 
 
-def _load_json(text: str, renormalize: bool) -> PointSet:
+def _load_json(text: str) -> PointSet:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -282,9 +261,15 @@ def _load_json(text: str, renormalize: bool) -> PointSet:
     if not isinstance(pts, list) or not pts:
         raise ParseError('"points" must be a nonempty list')
     for i, row in enumerate(pts):
-        if not isinstance(row, list) or len(row) != d + 1:
+        if not isinstance(row, list) or len(row) != d + 1 or any(
+            type(c) not in (int, float) for c in row  # exact types: a JSON true is no number
+        ):
             raise ParseError(f"point {i} must be a list of {d + 1} numbers")
-    return _finish_load(d, np.asarray(pts, dtype=np.float64), renormalize)
+    try:
+        arr = np.asarray(pts, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond float range
+        raise ParseError("a coordinate is beyond float range") from None
+    return PointSet(d, arr, norm_tol=INGEST_NORM_TOL)
 
 
 def _resolve_format(path: str, format: str) -> str:
@@ -299,10 +284,10 @@ def write_pointset(ps: PointSet, path: str, format: str = "auto", header: bool =
         fh.write(dumps_pointset(ps, fmt, header=header))
 
 
-def read_pointset(path: str, format: str = "auto", renormalize: bool = False) -> PointSet:
+def read_pointset(path: str, format: str = "auto") -> PointSet:
     fmt = _resolve_format(path, format)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "csv" and _sniff_format(text) == "json":
         fmt = "json"  # tolerate JSON content behind a .csv-ish name
-    return loads_pointset(text, fmt, renormalize=renormalize)
+    return loads_pointset(text, fmt)

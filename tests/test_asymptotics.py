@@ -36,6 +36,15 @@ def _exact_circle_dsq(n: int) -> mp.mpf:
     return (1 / mp.pi) * (4 / mp.pi - 2 * mp.cot(mp.pi / (2 * n)) / n)
 
 
+def test_closed_form_circle_dsq_at_4096():
+    # the constants 4/pi and 1/pi are correctly rounded, so what is left is
+    # the rounding of the mean distance (3.8e-9 when they were not)
+    with mp.workdps(40):
+        want = _exact_circle_dsq(4096)
+        got = l2_cap_discrepancy(roots_of_unity(4096)).diagnostics["d_squared"]
+        assert abs(got - want) / want <= 5e-10
+
+
 # -------------------------------------------------------------- constants
 
 def test_a2_reference_digits():

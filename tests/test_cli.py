@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from rieszcap import discrepancy
 from rieszcap.cli import main
 from rieszcap.discrepancy import l2_cap_discrepancy
 from rieszcap.energy import riesz_energy
@@ -97,25 +98,38 @@ def test_energy_matches_library(monkeypatch, capsys):
 
 # ------------------------------------------------------------------ disc
 
-@pytest.mark.parametrize(
-    "kind", ["l2", "l2-direct", "cui-freeden", "sum-distance", "cap-sup-lower", "leveque", "weyl"]
-)
+_DISC_LIBRARY = {
+    "l2": lambda X: discrepancy.l2_cap_discrepancy(X).to_json(),
+    "l2-direct": lambda X: discrepancy.l2_cap_discrepancy_direct(X, 64, 3).to_json(),
+    "cui-freeden": lambda X: discrepancy.cui_freeden(X).to_json(),
+    "sum-distance": lambda X: discrepancy.sum_distance_discrepancy(X).to_json(),
+    "cap-sup-lower": lambda X: discrepancy.cap_sup_discrepancy_lower(X, 64, 3).to_json(),
+    "leveque": lambda X: discrepancy.leveque_report(X, 6).to_json(),
+    "weyl": lambda X: {"kind": "Weyl", "degree": 6, "values": discrepancy.weyl_sums(X, 6)},
+}
+
+
+@pytest.mark.parametrize("kind", list(_DISC_LIBRARY))
 def test_disc_kinds_run(kind, monkeypatch, capsys):
+    # each kind's envelope carries exactly the library call's result and the
+    # parameters that kind took
     from rieszcap.pointsets import dumps_pointset, fibonacci_sphere
 
-    text = dumps_pointset(fibonacci_sphere(12))
+    X = fibonacci_sphere(12)
     argv = ["disc", "--kind", kind]
+    params = {"kind": kind}
     if kind in ("l2-direct", "cap-sup-lower"):
         argv += ["--centers", "64", "--seed", "3"]
+        params.update(centers=64, seed=3)
     if kind in ("leveque", "weyl"):
         argv += ["--degree", "6"]
-    code, out, _ = run_cli(argv, text, monkeypatch, capsys)
+        params.update(degree=6)
+    code, out, _ = run_cli(argv, dumps_pointset(X), monkeypatch, capsys)
     assert code == 0
     blob = envelope(out)
-    if kind == "weyl":
-        assert len(blob["result"]["values"]) == 6
-    else:
-        assert blob["result"]["value"] >= 0.0
+    assert blob["result"] == json.loads(json.dumps(_DISC_LIBRARY[kind](X)))
+    assert blob["params"] == params
+    assert blob["seed"] == params.get("seed")
 
 
 def test_disc_l2_matches_library(monkeypatch, capsys):
@@ -148,6 +162,15 @@ def test_disc_empty_stdin(monkeypatch, capsys):
     code, _, err = run_cli(["disc", "--kind", "l2"], "", monkeypatch, capsys)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("row", ['["a", "b", "c"]', "[1, 0, {}]"])
+def test_disc_non_numeric_json_exits_one(row, monkeypatch, capsys):
+    text = f'{{"d": 2, "points": [{row}]}}'
+    code, out, err = run_cli(["disc", "--kind", "l2"], text, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # -------------------------------------------------------------- optimize
@@ -361,7 +384,7 @@ _OPTIMIZE_PARAMS = {
         (
             ["disc", "--kind", "l2"],
             None,
-            {"kind": "l2", "centers": 1024, "seed": 0, "degree": 64},
+            {"kind": "l2"},
         ),
         (["optimize", "--s", "-1"], None, _OPTIMIZE_PARAMS),
         (["optimize"], {"s": -1}, _OPTIMIZE_PARAMS),
@@ -412,6 +435,55 @@ def test_negative_seed_exits_one(argv, monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
+# command, kind flag -> kind -> the kind-specific parameters that kind takes;
+# the other kinds' parameters make the 27 rejected (kind, parameter) pairs
+_KIND_PARAMS = {
+    ("gen", "kind"): {
+        "roots-of-unity": (), "random": ("seed",), "fibonacci": (), "hammersley-sphere": (),
+    },
+    ("disc", "kind"): {
+        "l2": (),
+        "l2-direct": ("centers", "seed"),
+        "cui-freeden": (),
+        "sum-distance": (),
+        "cap-sup-lower": ("centers", "seed"),
+        "leveque": ("degree",),
+        "weyl": ("degree",),
+    },
+    ("verify", "suite"): {
+        "stolarsky": ("d", "n", "seed"), "constants": (), "zeta": (), "bernoulli": (),
+    },
+}
+_REJECTED = [
+    (command, flag, kind, param)
+    for (command, flag), table in _KIND_PARAMS.items()
+    for kind in table
+    for param in sorted({p for taken in table.values() for p in taken} - set(table[kind]))
+]
+_PARAM_VALUES = {"seed": 3, "centers": 64, "degree": 6, "d": 2, "n": 10}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command,flag,kind,param", _REJECTED)
+def test_param_of_another_kind_rejected(command, flag, kind, param, via, tmp_path, monkeypatch, capsys):
+    # a parameter the chosen kind never reads is an error, not a silent no-op
+    from rieszcap.pointsets import dumps_pointset
+
+    settings = {flag: kind, param: _PARAM_VALUES[param]}
+    if command == "gen":
+        settings["n"] = 4
+    if via == "flag":
+        argv = [command] + [f"--{k}={v}" for k, v in settings.items()]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        argv = [command, "--config", str(cfg)]
+    code, out, err = run_cli(argv, dumps_pointset(roots_of_unity(3)), monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --{param} does not apply to --{flag} {kind}\n"
 
 
 def test_threads_only_on_optimize(monkeypatch, capsys):

@@ -312,6 +312,23 @@ def test_continuous_energy_closed_values():
     assert continuous_energy(2, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_closed_constants_correctly_rounded():
+    # at integer s every Gamma argument is an integer or a half-integer, so
+    # these come out as the correctly rounded closed forms
+    assert continuous_energy(1, -1.0) == 4.0 / math.pi
+    assert continuous_energy(2, -1.0) == 4.0 / 3.0
+    assert ball_sphere_ratio(2) == 0.25
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_distance_constants_within_one_ulp(d):
+    with mp.workdps(40):
+        v = _mp_V(d, mp.mpf(-1))
+        ratio = mp.gamma(mp.mpf(d + 1) / 2) / (d * mp.sqrt(mp.pi) * mp.gamma(mp.mpf(d) / 2))
+        for got, want in ((continuous_energy(d, -1.0), v), (ball_sphere_ratio(d), ratio)):
+            assert abs(mp.mpf(got) - want) <= math.ulp(got), (d, got)
+
+
 def test_continuous_energy_against_quadrature():
     # Independent oracle in polar form, distance written as 2 sin(a/2) so
     # nothing cancels near a=0:

@@ -267,15 +267,12 @@ def test_parse_error_non_numeric(tmp_path):
     assert ei.value.line == 1
 
 
-def test_norm_validation_and_renormalize(tmp_path):
+def test_off_norm_row_rejected(tmp_path):
     path = tmp_path / "off.csv"
     path.write_text("1.5,0.0,0.0\n0.0,1.0,0.0\n")
     with pytest.raises(ValidationError) as ei:
         read_pointset(str(path))
     assert "0" in str(ei.value)  # names the row
-    ps = read_pointset(str(path), renormalize=True)
-    assert np.allclose(np.linalg.norm(ps.points, axis=1), 1.0, atol=1e-15)
-    assert np.allclose(ps.points[0], [1.0, 0.0, 0.0])
 
 
 def test_slightly_off_norm_accepted_without_renormalize(tmp_path):
@@ -293,6 +290,26 @@ def test_json_errors():
         loads_pointset('{"d": 2}', "json")
     with pytest.raises(ParseError):
         loads_pointset('{"d": 2, "points": [[1.0, 0.0]]}', "json")
+
+
+@pytest.mark.parametrize(
+    "row", ['["a", "b", "c"]', "[1, 0, {}]", "[1, 0, null]", '["1", 0, 0]', "[true, 0, 0]"]
+)
+def test_json_non_numeric_coordinates_are_parse_errors(row):
+    with pytest.raises(ParseError, match="point 1 must be a list of 3 numbers"):
+        loads_pointset(f'{{"d": 2, "points": [[0, 0, 1], {row}]}}')
+
+
+def test_json_integer_beyond_float_range_is_parse_error():
+    with pytest.raises(ParseError, match="beyond float range"):
+        loads_pointset('{"d": 1, "points": [[1' + "0" * 400 + ", 0]]}")
+
+
+def test_unknown_format_is_domain_error():
+    with pytest.raises(DomainError):
+        dumps_pointset(roots_of_unity(3), format="xml")
+    with pytest.raises(DomainError):
+        loads_pointset("1.0,0.0\n", format="xml")
 
 
 def test_empty_file(tmp_path):
