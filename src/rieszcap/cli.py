@@ -114,7 +114,7 @@ def _read_points(path: str | None) -> PointSet:
 def _config_value(command: str, key: str, kind, value):
     """A --config value checked as its flag would be; float params take ints."""
     if isinstance(kind, (tuple, dict)):
-        ok, want = value in kind, f"one of {', '.join(kind)}"
+        ok, want = isinstance(value, str) and value in kind, f"one of {', '.join(kind)}"
     else:
         accepted = (int, float) if kind is float else kind
         ok, want = isinstance(value, accepted) and not isinstance(value, bool), kind.__name__

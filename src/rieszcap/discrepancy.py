@@ -30,8 +30,8 @@ from .errors import (
     NumericalContractError,
     _require_int,
 )
-from .pointsets import PointSet, _seeded_rng
-from .special_functions import sphere_surface_area
+from .pointsets import PointSet, random_uniform
+from .special_functions import _half_gamma_quotient
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
 WEYL_MAX_DEGREE = 256
@@ -60,15 +60,11 @@ def _sqrt_clamped(arg: float, what: str) -> float:
 # cap measure
 
 def _sigma_cap_values(d: int, t: np.ndarray) -> np.ndarray:
-    # normalized measure of the cap {y : <x, y> >= t}; vector form, t clipped
+    # normalized measure of the cap {y : <x, y> >= t}; vector form, t clipped.
+    # c_d J_p(t), c_d = d ball_sphere_ratio(d) = omega_{d-1}/omega_d, with
+    # J_p = int_t^1 (1-u^2)^p du, p = d/2 - 1, by the recurrence (2p+1) J_p =
+    # -t (1-t^2)^p + 2p J_{p-1} up from J_0 = 1 - t or J_{-1/2} = arccos t.
     t = np.clip(t, -1.0, 1.0)
-    if d == 1:
-        return np.arccos(t) / math.pi
-    if d == 2:
-        return (1.0 - t) / 2.0
-    # (omega_{d-1}/omega_d) * J_p(t), J_p = int_t^1 (1-u^2)^p du, p = d/2 - 1,
-    # by the recurrence (2p+1) J_p = -t (1-t^2)^p + 2p J_{p-1} down to
-    # J_0 = 1 - t or J_{-1/2} = arccos t.
     p_target = d / 2.0 - 1.0
     if d % 2 == 0:
         j = 1.0 - t
@@ -79,8 +75,8 @@ def _sigma_cap_values(d: int, t: np.ndarray) -> np.ndarray:
     while p < p_target - 0.25:
         p += 1.0
         j = (-t * (1.0 - t * t) ** p + 2.0 * p * j) / (2.0 * p + 1.0)
-    ratio = sphere_surface_area(d - 1) / sphere_surface_area(d) if d > 1 else None
-    return np.clip(ratio * j, 0.0, 1.0)
+    j *= d * ball_sphere_ratio(d)
+    return np.clip(j, 0.0, 1.0, out=j)
 
 
 def sigma_cap(d: int, t: float) -> float:
@@ -121,13 +117,11 @@ def l2_cap_discrepancy(X: PointSet) -> DiscrepancyReport:
 def sample_centers(d: int, m: int, seed) -> np.ndarray:
     """m uniform centers on S^d from one sequential stream (prefix-nested).
 
-    The stream is the seed's root stream, drawn as pointsets.random_uniform
-    draws it: sample_centers(d, m, k)[:n] equals random_uniform(d, n, k).points
-    for n <= m, so centers and points must not share a seed."""
+    These are pointsets.random_uniform's points, from the seed's root stream:
+    sample_centers(d, m, k)[:n] equals random_uniform(d, n, k).points for
+    n <= m, so centers and points must not share a seed."""
     m = _require_int("centers", m, 1)
-    rng = _seeded_rng(seed)
-    g = rng.standard_normal((m, d + 1))
-    return g / np.linalg.norm(g, axis=1)[:, None]
+    return random_uniform(d, m, seed).points
 
 
 def _sorted_projections(X: PointSet, centers: np.ndarray):
@@ -150,9 +144,7 @@ def _sorted_projections(X: PointSet, centers: np.ndarray):
 def _sigma_sq_integral(d: int) -> float:
     """int_{-1}^{1} sigma_d(t)^2 dt = 1 - (2 c_d^2/d) sqrt(pi) Gamma(d)/Gamma(d + 1/2)."""
     c = d * ball_sphere_ratio(d)
-    return 1.0 - (2.0 * c * c / d) * math.exp(
-        0.5 * math.log(math.pi) + math.lgamma(d) - math.lgamma(d + 0.5)
-    )
+    return 1.0 - (2.0 * c * c / d) * _half_gamma_quotient(1, 1, 1, (2 * d,), (2 * d + 1,))
 
 
 def _direct_dsq_per_center(X: PointSet, centers: np.ndarray) -> np.ndarray:
@@ -296,7 +288,7 @@ def leveque_functionals(X: PointSet, L: int) -> tuple[float, float]:
     lower_sq = 0.0
     upper_sum = 0.0
     for l, s_l in enumerate(s, start=1):
-        a_l = math.exp(math.lgamma(l - 0.5) - math.lgamma(l + d + 0.5))
+        a_l = _half_gamma_quotient(1, 1, 0, (2 * l - 1,), (2 * l + 2 * d + 1,))
         lower_sq += a_l * s_l
         upper_sum += float(l) ** (-(d + 1)) * s_l
     return math.sqrt(lower_sq), upper_sum ** (1.0 / (d + 2))

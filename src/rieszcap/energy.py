@@ -33,14 +33,16 @@ from .errors import (
 )
 from .pointsets import PointSet
 from .special_functions import (
+    _HALF_GAMMA_MAX,
+    _gamma_ratio,
+    _half_gamma_quotient,
+    _log_abs_gamma,
     _require_finite,
-    _sinpi,
     hex_lattice_zeta,
     riemann_zeta,
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
-_HALF_GAMMA_MAX = 2048      # Gamma(k/2) is taken exactly for integers |k| up to this
 _BLOCK = 1 << 17            # pair entries per row strip: 1 MB float strips stay in L2
 _NEAR_R2 = 1e-2             # Gram-form r^2 below this is redone by differences
 
@@ -166,73 +168,6 @@ def riesz_gradient(X: PointSet, s: float) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # continuous energy of the sphere
 
-def _is_pole_of_V(d: int, s: float) -> bool:
-    # Gamma((d-s)/2) poles at s = d + 2k, k >= 0; for even d those with
-    # s >= 2d are cancelled by Gamma(d - s/2) poles in the denominator.
-    if s < d or s != math.floor(s):
-        return False
-    if (s - d) % 2 != 0:
-        return False
-    if d % 2 == 0:
-        return s <= 2 * d - 2
-    return True
-
-
-def _log_abs_gamma(x: float) -> tuple[float, float]:
-    if x > 0.0:
-        return math.lgamma(x), 1.0
-    # x < 0, non-integer: lgamma gives log|Gamma|; sign follows sin(pi x)
-    # because Gamma(x) Gamma(1-x) = pi / sin(pi x) with Gamma(1-x) > 0.
-    return math.lgamma(x), math.copysign(1.0, _sinpi(x))
-
-
-def _half_gamma(k: int) -> tuple[int, int, int]:
-    """Gamma(k/2) = (p / r) sqrt(pi)^e exactly, as integers (p, r, e), for an
-    integer k that is not 0, -2, -4, ... (a pole)."""
-    if k % 2 == 0:
-        return math.factorial(k // 2 - 1), 1, 0
-    n = (k - 1) // 2  # k/2 = n + 1/2
-    if n >= 0:  # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-        return math.factorial(2 * n), 4**n * math.factorial(n), 1
-    # Gamma(1/2 - m) = (-4)^m m! sqrt(pi) / (2m)!
-    return (-4) ** -n * math.factorial(-n), math.factorial(-2 * n), 1
-
-
-def _half_gamma_quotient(p: int, r: int, e: int, num: tuple, den: tuple) -> float | None:
-    """(p / r) sqrt(pi)^e times Gamma(k/2) for each integer k in `num`,
-    divided by Gamma(k/2) for each k in `den`; None when some k is a pole.
-    The rational part is exact and rounded once (an integer division), so the
-    result is within about an ulp."""
-    if any(k <= 0 and k % 2 == 0 for k in num + den):
-        return None
-    for k in num:
-        gp, gr, ge = _half_gamma(k)
-        p, r, e = p * gp, r * gr, e + ge
-    for k in den:
-        gp, gr, ge = _half_gamma(k)
-        p, r, e = p * gr, r * gp, e - ge
-    scale = math.pi ** (abs(e) // 2) * (math.sqrt(math.pi) if e % 2 else 1.0)
-    return p / r * scale if e >= 0 else p / r / scale
-
-
-def _gamma_ratio(a: float, b: float) -> float:
-    # Gamma(a)/Gamma(b) continued across nonpositive arguments.  When both
-    # hit nonpositive integers the limit is taken along the s-line, where
-    # both arguments move at the same rate: (-1)^(p-q) q!/p!.
-    a_int = a <= 0.0 and a == math.floor(a)
-    b_int = b <= 0.0 and b == math.floor(b)
-    if a_int and b_int:
-        p, q = int(-a), int(-b)
-        return (-1.0) ** (p - q) * math.factorial(q) / math.factorial(p)
-    if b_int:
-        return 0.0  # denominator pole only
-    if a_int:
-        raise PoleError(f"gamma ratio pole at numerator argument {a}")
-    la, sa = _log_abs_gamma(a)
-    lb, sb = _log_abs_gamma(b)
-    return sa * sb * math.exp(la - lb)
-
-
 def continuous_energy(d: int, s: float) -> float:
     """V_s(S^d) = 2^(d-s-1) Gamma((d+1)/2) Gamma((d-s)/2) / (sqrt pi Gamma(d-s/2)),
     continued analytically outside the poles (even d: s in {d,...,2d-2};
@@ -246,20 +181,21 @@ def continuous_energy(d: int, s: float) -> float:
     s = _require_finite("s", s)
     if s == 0.0:
         raise DomainError("s=0 logarithmic energy has no continuous value here")
-    if _is_pole_of_V(d, s):
-        raise PoleError(f"V_s(S^{d}) pole at s={s}")
     if s == math.floor(s) and 2 * d + abs(s) <= _HALF_GAMMA_MAX:
         t = int(s)
         p, r = (2 ** (d - t - 1), 1) if d - t >= 1 else (1, 2 ** (t + 1 - d))  # 2^(d-s-1)
         exact = _half_gamma_quotient(p, r, -1, (d + 1, d - t), (2 * d - t,))
         if exact is not None:  # None at a Gamma pole: the limits below
             return exact
-    ratio = _gamma_ratio((d - s) / 2.0, d - s / 2.0)
+    try:
+        ratio = _gamma_ratio((d - s) / 2.0, d - s / 2.0)
+    except PoleError as exc:
+        raise PoleError(f"V_s(S^{d}) pole at s={s}") from exc
     if ratio == 0.0:
         return 0.0
     log_lead = (
         (d - s - 1.0) * math.log(2.0)
-        + math.lgamma((d + 1) / 2.0)
+        + _log_abs_gamma((d + 1) / 2.0)[0]
         - 0.5 * math.log(math.pi)
     )
     return math.copysign(1.0, ratio) * math.exp(log_lead + math.log(abs(ratio)))
@@ -272,9 +208,7 @@ def ball_sphere_ratio(d: int) -> float:
     d = _require_int("d", d, 1)
     if d < _HALF_GAMMA_MAX:
         return _half_gamma_quotient(1, d, -1, (d + 1,), (d,))
-    return math.exp(
-        math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0)
-    ) / (d * math.sqrt(math.pi))
+    return _gamma_ratio((d + 1) / 2.0, d / 2.0) / (d * math.sqrt(math.pi))
 
 
 def conjectured_C(d: int, s: float) -> float:

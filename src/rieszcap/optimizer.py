@@ -42,12 +42,12 @@ class OptimizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "s", float(self.s))
-        if not self.grad_tol > 0.0:
-            raise ValidationError(f"grad_tol must be > 0, got {self.grad_tol}")
+        # finite: an infinite step_init never halves below STEP_STALL
+        for name in ("grad_tol", "step_init"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), minimum))
-        if not self.step_init > 0.0:
-            raise ValidationError(f"step_init must be > 0, got {self.step_init}")
 
     @property
     def maximize(self) -> bool:
@@ -86,8 +86,10 @@ class OptimizerResult:
 
 
 def _renormalized(x: np.ndarray) -> np.ndarray | None:
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms < 1e-8):  # step collapsed a point; caller must backtrack
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    # a step that collapsed a point or overflowed; the caller backtracks
+    if not np.all((norms >= 1e-8) & (norms < np.inf)):
         return None
     return x / norms[:, None]
 

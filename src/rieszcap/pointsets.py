@@ -115,8 +115,8 @@ def random_uniform(d: int, n: int, seed) -> PointSet:
     Deterministic for a given seed (PCG64 behind numpy's default_rng); this
     constructor consumes the root stream.  Optimizer restarts draw from
     children of their seed (SeedSequence.spawn).  Monte Carlo cap centers
-    (discrepancy.sample_centers) draw the root stream exactly as this does,
-    so with equal seeds the first n centers are these n points.
+    (discrepancy.sample_centers) are these points, so with equal seeds the
+    first n centers are these n points.
     """
     d = _require_int("d", d, 1)
     n = _require_int("n", n, 1)

@@ -1,9 +1,11 @@
-"""Classical special functions needed by the energy and asymptotics layers.
+"""Classical special functions needed by the energy, discrepancy and
+asymptotics layers; the one module that evaluates Gamma.
 
 Everything here is float64 in and float64 out.  The Euler-Maclaurin engines
 accumulate in numpy's longdouble (80-bit on x86) because the head sum and the
 pole term cancel catastrophically for negative arguments; see hurwitz_zeta.
-No arbitrary-precision arithmetic is used anywhere.
+No arbitrary-precision float is used; Gamma quotients at integer and
+half-integer arguments are exact integer ratios, rounded once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ _LD = np.longdouble
 BERNOULLI_MAX_INDEX = 64  # table guard: B_0 .. B_128
 EM_MIN_S = -6.0           # Euler-Maclaurin engines answer for s >= this only
 SINC_COEFF_MAX_ORDER = 32
+_HALF_GAMMA_MAX = 2048    # Gamma(k/2) is taken exactly for integers |k| up to this
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 # Hexagonal lattice geometry: unit minimal distance, Gram form m^2 + mn + n^2.
 HEX_CELL_AREA = math.sqrt(3.0) / 2.0
@@ -36,9 +40,76 @@ def _require_finite(name: str, x: float) -> float:
 
 
 def sphere_surface_area(d: int) -> float:
-    """Surface measure of the unit sphere S^d in R^(d+1): 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
-    d = _require_int("d", d, 1)
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    """Surface measure of the unit sphere S^d in R^(d+1): 2 pi^((d+1)/2) / Gamma((d+1)/2),
+    within 2 ulps for d < _HALF_GAMMA_MAX (0.0 once it underflows, from d = 455)."""
+    d = _require_int("d", d, 1, _HALF_GAMMA_MAX - 1)
+    return _half_gamma_quotient(2, 1, d + 1, (), (d + 1,))
+
+
+# ----------------------------------------------------------------------------
+# Gamma: exact at integers and half-integers, lgamma elsewhere
+
+def _log_abs_gamma(x: float) -> tuple[float, float]:
+    if x > 0.0:
+        return math.lgamma(x), 1.0
+    # x < 0, non-integer: lgamma gives log|Gamma|; sign follows sin(pi x)
+    # because Gamma(x) Gamma(1-x) = pi / sin(pi x) with Gamma(1-x) > 0.
+    return math.lgamma(x), math.copysign(1.0, _sinpi(x))
+
+
+def _half_gamma(k: int) -> tuple[int, int, int]:
+    """Gamma(k/2) = (p / r) sqrt(pi)^e exactly, as integers (p, r, e), for an
+    integer k that is not 0, -2, -4, ... (a pole)."""
+    if k % 2 == 0:
+        return math.factorial(k // 2 - 1), 1, 0
+    n = (k - 1) // 2  # k/2 = n + 1/2
+    if n >= 0:  # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
+        return math.factorial(2 * n), 4**n * math.factorial(n), 1
+    # Gamma(1/2 - m) = (-4)^m m! sqrt(pi) / (2m)!
+    return (-4) ** -n * math.factorial(-n), math.factorial(-2 * n), 1
+
+
+def _half_gamma_quotient(p: int, r: int, e: int, num: tuple, den: tuple) -> float | None:
+    """(p / r) sqrt(pi)^e times Gamma(k/2) for each integer k in `num`,
+    divided by Gamma(k/2) for each k in `den`; None when some k is a pole.
+    pi^m = 4^m (pi/4)^m: the 4^m joins the exact rational, rounded once (an
+    integer division), so a rational beyond float range still meets its power
+    of pi; (pi/4)^m is corrected to first order for the rounding of math.pi,
+    which pow amplifies m-fold.  Within 2 ulps (about 1 for |e| <= 3)."""
+    if any(k <= 0 and k % 2 == 0 for k in num + den):
+        return None
+    for k in num:
+        gp, gr, ge = _half_gamma(k)
+        p, r, e = p * gp, r * gr, e + ge
+    for k in den:
+        gp, gr, ge = _half_gamma(k)
+        p, r, e = p * gr, r * gp, e - ge
+    m = abs(e) // 2
+    pi_m = (math.pi / 4.0) ** m
+    pi_m += pi_m * (m * _PI_LO / math.pi)
+    if e % 2:
+        pi_m *= math.sqrt(math.pi)
+    return (p << 2 * m) / r * pi_m if e >= 0 else p / (r << 2 * m) / pi_m
+
+
+def _gamma_ratio(a: float, b: float) -> float:
+    # Gamma(a)/Gamma(b) continued across nonpositive arguments.  When both
+    # hit nonpositive integers the limit is taken along the s-line, where
+    # both arguments move at the same rate: (-1)^(p-q) q!/p!.
+    a_int = a <= 0.0 and a == math.floor(a)
+    b_int = b <= 0.0 and b == math.floor(b)
+    if a_int and b_int:
+        p, q = int(-a), int(-b)
+        if max(p, q) > 170:  # 171! is beyond float range
+            raise OverflowError(f"gamma ratio limit {q}!/{p}! needs factorials beyond float range")
+        return (-1.0) ** (p - q) * math.factorial(q) / math.factorial(p)
+    if b_int:
+        return 0.0  # denominator pole only
+    if a_int:
+        raise PoleError(f"gamma ratio pole at numerator argument {a}")
+    la, sa = _log_abs_gamma(a)
+    lb, sb = _log_abs_gamma(b)
+    return sa * sb * math.exp(la - lb)
 
 
 # ----------------------------------------------------------------------------

@@ -352,6 +352,9 @@ def test_config_unknown_key_rejected(tmp_path, monkeypatch, capsys):
         ("gen", {"kind": "roots-of-unity", "n": True}),
         ("energy", {"s": "xml"}),
         ("disc", {"kind": "xml"}),
+        ("disc", {"kind": ["l2"]}),
+        ("gen", {"kind": {"a": 1}}),
+        ("verify", {"suite": ["constants"]}),
     ],
 )
 def test_config_values_checked_like_flags(command, config, tmp_path, monkeypatch, capsys):
@@ -363,7 +366,7 @@ def test_config_values_checked_like_flags(command, config, tmp_path, monkeypatch
     code, out, err = run_cli([command, "--config", str(cfg)], text, monkeypatch, capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: config key")
 
 
 # -------------------------------------------------------------- envelope

@@ -12,6 +12,7 @@ from rieszcap.discrepancy import (
     DiscrepancyReport,
     _cap_sup_given_centers,
     _direct_dsq_per_center,
+    _sigma_cap_values,
     _sigma_sq_integral,
     _sqrt_clamped,
     cap_sup_discrepancy_lower,
@@ -93,6 +94,16 @@ def test_sigma_cap_higher_dim_monotone_and_normalized():
         assert vals[-1] == pytest.approx(0.0, abs=1e-12)
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert sigma_cap(d, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sigma_cap_matches_regularized_incomplete_beta():
+    # sigma_d(t) = I_{(1-t)/2}(d/2, d/2)
+    ts = np.linspace(-1.0, 1.0, 41)
+    for d in range(1, 9):
+        got = _sigma_cap_values(d, ts)
+        for t, g in zip(ts, got):
+            want = mp.betainc(mp.mpf(d) / 2, mp.mpf(d) / 2, 0, (1 - mp.mpf(t)) / 2, regularized=True)
+            assert abs(g - want) <= 1e-15, (d, t)
 
 
 def test_sigma_cap_domain():

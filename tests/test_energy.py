@@ -390,6 +390,19 @@ def test_continuous_energy_pole_list():
         continuous_energy(2, 0.0)
 
 
+def test_continuous_energy_poles_exactly_documented():
+    # poles: s in {d, d+2, ...}, capped at 2d-2 for even d
+    for d in range(1, 9):
+        for s in range(-40, 41):
+            if s == 0:
+                continue
+            if s >= d and (s - d) % 2 == 0 and (d % 2 == 1 or s <= 2 * d - 2):
+                with pytest.raises(PoleError, match=rf"V_s\(S\^{d}\) pole at s={s}\.0"):
+                    continuous_energy(d, float(s))
+            else:
+                assert math.isfinite(continuous_energy(d, float(s))), (d, s)
+
+
 # --------------------------------------------------------------- constants
 
 def test_ball_sphere_ratio_values():

@@ -30,7 +30,7 @@ _FIB = fibonacci_sphere(10)
 
 # (call with the integer under test, minimum, guard or None)
 INTEGER_PARAMETERS = {
-    "sphere_surface_area.d": (lambda v: sphere_surface_area(v), 1, None),
+    "sphere_surface_area.d": (lambda v: sphere_surface_area(v), 1, 2047),
     "bernoulli_table.m": (lambda v: bernoulli_table(v), 0, 64),
     "sinc_power_coeffs.p": (lambda v: sinc_power_coeffs(-1.0, v), 0, 32),
     "continuous_energy.d": (lambda v: continuous_energy(v, -1.0), 1, None),

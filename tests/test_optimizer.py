@@ -6,7 +6,7 @@ import pytest
 from rieszcap.energy import riesz_energy, riesz_gradient
 from rieszcap.errors import CoincidentPointsError, DomainError, ValidationError
 from rieszcap.optimizer import OptimizerConfig, optimize
-from rieszcap.pointsets import PointSet, random_uniform, roots_of_unity
+from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
 
 from oracles import finite_diff_gradient
 
@@ -34,6 +34,8 @@ def test_config_maximize_autoresolve():
         {"max_iters": -1},
         {"step_init": -0.1},
         {"step_init": 0.0},
+        {"grad_tol": math.inf},
+        {"step_init": math.inf},
     ],
 )
 def test_config_field_validation(kwargs):
@@ -44,6 +46,13 @@ def test_config_field_validation(kwargs):
 
 
 # ---------------------------------------------------------------- optimize
+
+def test_overflowing_trial_backtracks():
+    # the first trial's norms overflow; it must backtrack, not reach PointSet
+    X = fibonacci_sphere(20)
+    res = optimize(X, OptimizerConfig(s=-1.0, step_init=1e300))
+    assert res.energy == pytest.approx(optimize(X, OptimizerConfig(s=-1.0)).energy, rel=1e-12)
+
 
 def test_antipodal_pair_is_fixed_point():
     res = optimize(_antipodal_s1(), OptimizerConfig(s=-1.0))

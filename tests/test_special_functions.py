@@ -49,6 +49,14 @@ def test_sphere_surface_area():
     assert sphere_surface_area(3) == pytest.approx(2 * math.pi**2, rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [*range(1, 17), 100, 342, 343, 344, 400, 454, 455, 2047])
+def test_sphere_surface_area_within_two_ulps(d):
+    # past d = 342 Gamma((d+1)/2) alone overflows; the area underflows from 455
+    want = 2 * mp.pi ** (mp.mpf(d + 1) / 2) / mp.gamma(mp.mpf(d + 1) / 2)
+    got = sphere_surface_area(d)
+    assert abs(mp.mpf(got) - want) <= 2 * math.ulp(float(want))
+
+
 # ------------------------------------------------------------ bernoulli
 
 def test_bernoulli_small_values_exact():
