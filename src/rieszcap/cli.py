@@ -308,13 +308,13 @@ def _constant_registry() -> dict:
             "value": conjectured_C(1, -1.0),
             "status": "closed-form",
             "formula": "2 zeta(-1) = -1/6",
-            "role": "second-order energy coefficient on S^1",
+            "role": "C_{-1,1} in BHS notation; the second-order energy coefficient on S^1 is C_{-1,1} |S^1| = -pi/3",
         },
         "c_minus1_s2": {
             "value": conjectured_C(2, -1.0),
             "status": "conjectured",
             "formula": "(sqrt(3)/2)^(-1/2) * zeta_hex(-1)",
-            "role": "second-order energy coefficient on S^2",
+            "role": "C_{-1,2} in BHS notation; the second-order energy coefficient on S^2 is C_{-1,2} |S^2|^(1/2) = C_{-1,2} sqrt(4 pi)",
         },
     }
 

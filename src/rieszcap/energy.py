@@ -34,9 +34,9 @@ from .errors import (
 from .pointsets import PointSet
 from .special_functions import (
     _HALF_GAMMA_MAX,
-    _gamma_ratio,
     _half_gamma_quotient,
     _log_abs_gamma,
+    _log_gamma_ratio,
     _require_finite,
     hex_lattice_zeta,
     riemann_zeta,
@@ -184,21 +184,27 @@ def continuous_energy(d: int, s: float) -> float:
     if s == math.floor(s) and 2 * d + abs(s) <= _HALF_GAMMA_MAX:
         t = int(s)
         p, r = (2 ** (d - t - 1), 1) if d - t >= 1 else (1, 2 ** (t + 1 - d))  # 2^(d-s-1)
+        if d % 2 == 0 and t % 2 == 0 and t >= 2 * d:
+            # Gamma((d-s)/2) and Gamma(d-s/2) both at poles: their ratio's
+            # limit (-1)^(d/2) ((s-2d)/2)!/((s-d)/2)! joins the exact rational
+            p *= (-1) ** (d // 2)
+            r *= math.perm((t - d) // 2, d // 2)
+            return _half_gamma_quotient(p, r, -1, (d + 1,), ())
         exact = _half_gamma_quotient(p, r, -1, (d + 1, d - t), (2 * d - t,))
         if exact is not None:  # None at a Gamma pole: the limits below
             return exact
     try:
-        ratio = _gamma_ratio((d - s) / 2.0, d - s / 2.0)
+        log_ratio, sign = _log_gamma_ratio((d - s) / 2.0, d - s / 2.0)
     except PoleError as exc:
         raise PoleError(f"V_s(S^{d}) pole at s={s}") from exc
-    if ratio == 0.0:
+    if sign == 0.0:
         return 0.0
     log_lead = (
         (d - s - 1.0) * math.log(2.0)
         + _log_abs_gamma((d + 1) / 2.0)[0]
         - 0.5 * math.log(math.pi)
     )
-    return math.copysign(1.0, ratio) * math.exp(log_lead + math.log(abs(ratio)))
+    return sign * math.exp(log_lead + log_ratio)
 
 
 def ball_sphere_ratio(d: int) -> float:
@@ -208,11 +214,13 @@ def ball_sphere_ratio(d: int) -> float:
     d = _require_int("d", d, 1)
     if d < _HALF_GAMMA_MAX:
         return _half_gamma_quotient(1, d, -1, (d + 1,), (d,))
-    return _gamma_ratio((d + 1) / 2.0, d / 2.0) / (d * math.sqrt(math.pi))
+    return math.exp(_log_gamma_ratio((d + 1) / 2.0, d / 2.0)[0]) / (d * math.sqrt(math.pi))
 
 
 def conjectured_C(d: int, s: float) -> float:
-    """Conjectured second-order energy coefficient C_{s,d}.
+    """C_{s,d} of the conjectured second-order energy term
+    C_{s,d} |S^d|^(-s/d) N^(1+s/d) (Brauchart-Hardin-Saff notation; the
+    coefficient of N^(1+s/d) itself carries the |S^d|^(-s/d) factor).
 
     d=1: 2 zeta(s) (pole at s=1); d=2: (sqrt3/2)^(s/2) zeta_hex(s) (pole at
     s=2), continued below the abscissa.  No closed form is known elsewhere.

@@ -92,24 +92,24 @@ def _half_gamma_quotient(p: int, r: int, e: int, num: tuple, den: tuple) -> floa
     return (p << 2 * m) / r * pi_m if e >= 0 else p / (r << 2 * m) / pi_m
 
 
-def _gamma_ratio(a: float, b: float) -> float:
-    # Gamma(a)/Gamma(b) continued across nonpositive arguments.  When both
-    # hit nonpositive integers the limit is taken along the s-line, where
-    # both arguments move at the same rate: (-1)^(p-q) q!/p!.
+def _log_gamma_ratio(a: float, b: float) -> tuple[float, float]:
+    """(log|Gamma(a)/Gamma(b)|, sign), continued across nonpositive arguments;
+    sign 0.0 (log -inf) at a denominator pole alone.  When both hit
+    nonpositive integers -p and -q, the limit is taken along the s-line, where
+    both arguments move at the same rate: (-1)^(p-q) q!/p!, carried as
+    lgamma(q+1) - lgamma(p+1), which neither overflows nor underflows."""
     a_int = a <= 0.0 and a == math.floor(a)
     b_int = b <= 0.0 and b == math.floor(b)
     if a_int and b_int:
         p, q = int(-a), int(-b)
-        if max(p, q) > 170:  # 171! is beyond float range
-            raise OverflowError(f"gamma ratio limit {q}!/{p}! needs factorials beyond float range")
-        return (-1.0) ** (p - q) * math.factorial(q) / math.factorial(p)
+        return math.lgamma(q + 1) - math.lgamma(p + 1), -1.0 if (p - q) % 2 else 1.0
     if b_int:
-        return 0.0  # denominator pole only
+        return -math.inf, 0.0  # denominator pole only
     if a_int:
         raise PoleError(f"gamma ratio pole at numerator argument {a}")
     la, sa = _log_abs_gamma(a)
     lb, sb = _log_abs_gamma(b)
-    return sa * sb * math.exp(la - lb)
+    return la - lb, sa * sb
 
 
 # ----------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Reference computations used only by the tests."""
 
+import math
+
 import numpy as np
 
-from rieszcap.energy import riesz_energy
+from rieszcap.energy import _BLOCK, riesz_energy
 from rieszcap.errors import DomainError
 from rieszcap.pointsets import PointSet
 
@@ -47,3 +49,30 @@ def finite_diff_gradient(X: PointSet, s: float, h: float) -> np.ndarray:
             ) / (2.0 * h)
             out[j] += deriv * v
     return out
+
+
+def weyl_sums_addition(X: PointSet, L: int) -> list[float]:
+    """S_l = ((2l+1)/(4 pi N^2)) sum_{j,k} P_l(<x_j, x_k>), l = 1..L, by the
+    addition theorem in O(N^2 L): the oracle for discrepancy.weyl_sums.  The
+    Legendre recursion runs over row strips of at most _BLOCK entries that
+    meet only the columns from their own first row on: the strip's square
+    holds both orders of its pairs, the columns after it count twice.
+    Values are returned as summed, without clamping."""
+    n = X.n
+    sums = np.zeros(L + 1)  # sums[l] = sum_{j,k} P_l(<x_j, x_k>)
+    height = max(1, _BLOCK // n)
+    for start in range(0, n, height):
+        h = min(height, n - start)
+        g = np.clip(X.points[start : start + h] @ X.points[start:].T, -1.0, 1.0)
+        p_prev, p_cur, p_next = np.ones_like(g), g.copy(), np.empty_like(g)
+        for l in range(1, L + 1):
+            # the strip's square holds both orders; the columns past it, once
+            sums[l] += p_cur[:, :h].sum() + 2.0 * p_cur[:, h:].sum()
+            # p_next = ((2l+1) g p_cur - l p_prev) / (l+1), without temporaries
+            np.multiply(g, 2 * l + 1, out=p_next)
+            p_next *= p_cur
+            p_prev *= l
+            p_next -= p_prev
+            p_next /= l + 1
+            p_prev, p_cur, p_next = p_cur, p_next, p_prev
+    return [(2 * l + 1) / (4.0 * math.pi) * float(sums[l]) / (n * n) for l in range(1, L + 1)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszcap.discrepancy import (
+    WEYL_MAX_DEGREE,
     DiscrepancyReport,
     _cap_sup_given_centers,
     _direct_dsq_per_center,
@@ -34,7 +36,16 @@ from rieszcap.errors import (
     NegativeVarianceError,
     RangeError,
 )
-from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
+from rieszcap.pointsets import (
+    PointSet,
+    fibonacci_sphere,
+    hammersley_square,
+    lambert_lift,
+    random_uniform,
+    roots_of_unity,
+)
+
+from oracles import weyl_sums_addition
 
 # Frozen Monte-Carlo fixture: cap-sup lower bound for a single point at the
 # north pole, 64 centers from seed 123.  Independently equal to
@@ -432,6 +443,76 @@ def test_weyl_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def test_weyl_memory_bounded_max_degree():
+    # strips keep every (L+1)-row array within _BLOCK entries at the
+    # largest degree the CLI accepts, too
+    X = fibonacci_sphere(2000)
+    tracemalloc.start()
+    try:
+        weyl_sums(X, WEYL_MAX_DEGREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
+def _weyl_scale(L):
+    return (2.0 * np.arange(1, L + 1) + 1.0) / (4.0 * math.pi)
+
+
+def _weyl_oracle_set(kind, n):
+    if kind == "fibonacci":
+        return fibonacci_sphere(n)
+    if kind == "hammersley":  # 2^6 and 2^10 points
+        return lambert_lift(hammersley_square(max(1, round(math.log2(n)))))
+    return random_uniform(2, n, seed=n)
+
+
+@pytest.mark.parametrize(
+    "kind,n,L",
+    [
+        *itertools.product(["fibonacci", "hammersley", "random"], [50, 1000], [12, 64]),
+        # few points at the top degree: S_l is near (2l+1)/(4 pi N), about 0.4
+        # at l = 256, and the routes differ most, about 2.5e-14 (2l+1)/(4 pi)
+        ("random", 100, WEYL_MAX_DEGREE),
+    ],
+)
+def test_weyl_matches_addition_oracle(kind, n, L):
+    # the bound of the weyl_sums docstring: 1e-13 (2l+1)/(4 pi) absolute
+    X = _weyl_oracle_set(kind, n)
+    diff = np.abs(np.array(weyl_sums(X, L)) - np.array(weyl_sums_addition(X, L)))
+    assert np.all(diff <= 1e-13 * _weyl_scale(L))
+
+
+def test_weyl_against_mpmath():
+    # 40-digit S_l of the points projected onto the sphere, by the addition
+    # theorem: the harmonic route is within 4.4e-16 (2l+1)/(4 pi) (2.2e-16
+    # measured), where the addition route is off by up to 1.7e-15 (2l+1)/(4 pi)
+    X = random_uniform(2, 12, seed=11)
+    L = 20
+    with mp.workdps(40):
+        pts = [[mp.mpf(float(v)) for v in row] for row in X.points]
+        pts = [[v / mp.sqrt(sum(u * u for u in row)) for v in row] for row in pts]
+        sums = [mp.mpf(0)] * (L + 1)
+        for a in pts:
+            for b in pts:
+                g = sum(u * v for u, v in zip(a, b))
+                p_prev, p_cur = mp.mpf(1), g
+                for l in range(1, L + 1):
+                    sums[l] += p_cur
+                    p_prev, p_cur = p_cur, ((2 * l + 1) * g * p_cur - l * p_prev) / (l + 1)
+        exact = [(2 * l + 1) / (4 * mp.pi) * sums[l] / X.n**2 for l in range(1, L + 1)]
+    got = weyl_sums(X, L)
+    err = np.array([float(abs(mp.mpf(v) - e)) for v, e in zip(got, exact)])
+    assert np.all(err <= 4.4e-16 * _weyl_scale(L))
+
+
+def test_weyl_single_point_exact():
+    # at the pole zeta = 0 and P_l(1) = 1 exactly: S_l is (2l+1)/(4 pi) itself
+    s = weyl_sums(_single(2), WEYL_MAX_DEGREE)
+    assert s == [(2 * l + 1) / (4.0 * math.pi) for l in range(1, WEYL_MAX_DEGREE + 1)]
 
 
 # --------------------------------------------------------------- LeVeque

@@ -352,8 +352,9 @@ def _mp_V(d, s):
 
 def test_continuous_energy_continuation_region():
     # Beyond the integral's convergence: compare against mpmath's own gamma
-    # continuation of the same closed form.
-    for d, s in [(1, 2.5), (2, 3.0), (3, 4.0), (3, 6.5), (2, -6.0)]:
+    # continuation of the same closed form.  At d = 600 the gamma ratio
+    # alone (2e-798) is below float range, the energy (3.4e4) is not.
+    for d, s in [(1, 2.5), (2, 3.0), (3, 4.0), (3, 6.5), (2, -6.0), (600, -29.587)]:
         want = float(_mp_V(d, mp.mpf(s)))
         assert continuous_energy(d, s) == pytest.approx(want, rel=1e-11, abs=1e-13), (d, s)
 
@@ -364,6 +365,40 @@ def test_continuous_energy_gamma_ratio_limit_cases():
     for d, s in [(2, 6.0), (4, 8.0), (2, 8.0)]:
         want = float(_mp_V(d, mp.mpf(s) + mp.mpf(10) ** -25))
         assert continuous_energy(d, s) == pytest.approx(want, rel=1e-11, abs=1e-14), (d, s)
+
+
+def _mp_V_limit(d, s):
+    # both Gamma arguments at poles -p and -q: (-1)^(p-q) q!/p! in their place
+    p, q = (s - d) // 2, s // 2 - d
+    return (
+        mp.mpf(2) ** (d - s - 1)
+        * mp.gamma(mp.mpf(d + 1) / 2)
+        / mp.sqrt(mp.pi)
+        * (-1) ** (p - q)
+        * mp.factorial(q)
+        / mp.factorial(p)
+    )
+
+
+@pytest.mark.parametrize(
+    "d,s",
+    [(2, 344), (2, 346), (2, 400), (2, 700), (2, 1040), (4, 346), (4, 540), (6, 348), (6, 1032), (8, 350), (8, 394)],
+)
+def test_continuous_energy_double_pole_limit_beyond_factorial_range(d, s):
+    # max(p, q) > 170: the limit's factorials leave float range, its value
+    # does not (down to subnormals from s = 1032); within an ulp
+    with mp.workdps(40):
+        want = _mp_V_limit(d, s)
+        got = continuous_energy(d, float(s))
+        assert abs(mp.mpf(got) - want) <= math.ulp(float(want))
+
+
+def test_continuous_energy_double_pole_limit_beyond_exact_range():
+    # 2d + s > 2048 takes the log-gamma path: V = 3.9e-183 although 1/300!
+    # alone would underflow
+    with mp.workdps(40):
+        want = _mp_V_limit(600, 1200)
+        assert continuous_energy(600, 1200.0) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_continuous_energy_denominator_pole_gives_zero():
@@ -423,6 +458,13 @@ def test_conjectured_C_values():
     assert conjectured_C(2, -1.0) == pytest.approx(C_2_M1, rel=1e-11)
     assert conjectured_C(2, -1.0) < 0.0
     assert conjectured_C(2, 4.0) == pytest.approx(0.75 * HEX_AT_4, rel=1e-12)
+
+
+def test_conjectured_C_times_circumference_is_the_measured_coefficient():
+    # C_{-1,1} is in BHS notation: the residual energy_report measures on
+    # roots of unity is C_{-1,1} |S^1|^(1/1) = -pi/3, not C_{-1,1} = -1/6
+    resid = energy_report(roots_of_unity(4000), -1.0).residual_normalized
+    assert abs(resid - conjectured_C(1, -1.0) * 2.0 * math.pi) <= 1e-7
 
 
 def test_conjectured_C_guards():
