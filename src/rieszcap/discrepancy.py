@@ -90,9 +90,16 @@ def sigma_cap(d: int, t: float) -> float:
 # ----------------------------------------------------------------------------
 # closed-form L2 cap discrepancy
 
+def _unit_points(X: PointSet) -> np.ndarray:
+    # ingested sets may sit up to INGEST_NORM_TOL off the sphere, which moves
+    # a pair sum far more than its rounding; estimators see the unit points
+    return X.points / np.linalg.norm(X.points, axis=1)[:, None]
+
+
 def mean_distance(X: PointSet) -> float:
-    """(1/N^2) sum over ordered pairs of |x_j - x_k| (diagonal contributes 0)."""
-    return riesz_energy(X, -1.0) / (X.n * X.n)
+    """(1/N^2) sum over ordered pairs of |x_j - x_k| (diagonal contributes 0),
+    over the points scaled to unit norm."""
+    return riesz_energy(PointSet(X.d, _unit_points(X)), -1.0) / (X.n * X.n)
 
 
 def l2_cap_discrepancy(X: PointSet) -> DiscrepancyReport:
@@ -204,14 +211,19 @@ def _require_s2(X: PointSet, what: str) -> None:
 
 
 def _cui_freeden_kernel(r2, grad):
-    return 2.0 * np.log1p(0.5 * np.sqrt(r2)), None
+    k = np.sqrt(r2, out=r2)
+    k *= 0.5
+    np.log1p(k, out=k)
+    k *= 2.0
+    return k, None
 
 
 def cui_freeden(X: PointSet) -> DiscrepancyReport:
     """Generalized discrepancy with kernel 2 log(1 + r/2):
-    D^2 = (1 - mean kernel) / (4 pi); the diagonal r=0 contributes 0."""
+    D^2 = (1 - mean kernel) / (4 pi); the diagonal r=0 contributes 0.  The
+    points are scaled to unit norm first."""
     _require_s2(X, "CuiFreeden")
-    total, _ = _pair_sums(X.points, _cui_freeden_kernel, coincident_error=False)
+    total, _ = _pair_sums(_unit_points(X), _cui_freeden_kernel, coincident_error=False)
     kernel_mean = total / (X.n * X.n)
     dsq = (1.0 - kernel_mean) / (4.0 * math.pi)
     value = _sqrt_clamped(dsq, "CuiFreeden")
@@ -282,7 +294,7 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     _require_s2(X, "weyl_sums")
     L = _require_int("L", L, 1, WEYL_MAX_DEGREE)
     n = X.n
-    pts = X.points / np.linalg.norm(X.points, axis=1)[:, None]
+    pts = _unit_points(X)
     c, s2 = _harmonic_tables(L)
     zonal = np.zeros(L + 1)  # zonal[l] = sum_j P_l(t_j)
     re = np.zeros((L + 1, L + 1))  # [l, m]: sum_j q_lm(t_j) zeta_j^m

@@ -7,14 +7,15 @@ Conventions fixed here once:
   * Every pair sum walks row strips of at most _BLOCK pair entries, so
     memory stays O(N + _BLOCK) for every N.  Each unordered pair is walked
     once (the kernels are symmetric): a strip meets only its own square and
-    the columns after it.  Squared distances come from the Gram form
-    |x|^2 + |y|^2 - 2<x,y>; when a strip's smallest one is below _NEAR_R2,
-    the pairs under it are recomputed from coordinate differences, where
-    the Gram form loses digits.
+    the columns after it.  A strip's squared distances are one GEMM of the
+    augmented rows [x, |x|^2, 1] against the columns [-2y, 1, |y|^2]; when
+    its smallest one is below _NEAR_R2, the pairs under it are recomputed
+    from coordinate differences, where that form loses digits.  The kernel
+    then overwrites the strip in place.
   * Reductions: each strip row is summed by numpy's pairwise tree and the
     row totals by math.fsum.  The strip order is fixed, so results are
-    bitwise deterministic for fixed N; for N^2 <= _BLOCK one strip holds
-    the whole matrix.
+    bitwise deterministic for fixed N and BLAS; for N^2 <= _BLOCK one strip
+    holds the whole matrix.
 """
 
 from __future__ import annotations
@@ -43,26 +44,32 @@ from .special_functions import (
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
-_BLOCK = 1 << 17            # pair entries per row strip: 1 MB float strips stay in L2
-_NEAR_R2 = 1e-2             # Gram-form r^2 below this is redone by differences
+_BLOCK = 1 << 17            # pair entries per row strip: 1 MB float arrays, one per
+                            # energy strip and two (r^2 -> K, W) per gradient strip
+_NEAR_R2 = 1e-2             # GEMM r^2 below this is redone by differences
 
 
 def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False):
     """Sum of a symmetric pair kernel over the ordered pairs j != k, and
     optionally its gradient rows.
 
-    `kernel(r2, grad)` maps a strip of squared distances to (K, W), where W
-    (only when `grad`) is the weight in dK/dx_j = W (x_j - x_k).  Row strip
-    [lo, hi) meets only the columns lo..n-1.  Its own square keeps both
-    orders of each pair, with the diagonal fed r2 = 1 and dropped.  The
-    columns from hi on are the pairs k > j, walked once: they count twice in
-    the sum, and their gradient weights go into both endpoints.  With
-    N^2 <= _BLOCK the square is the whole matrix and nothing else is built.
-    Returns (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or None without
-    `grad`.
+    A strip's squared distances are one GEMM, left[lo:hi] @ right[:, lo:],
+    of left = [x, |x|^2, 1] and right = [-2y, 1, |y|^2] stored transposed
+    and contiguous, (d+3) x N.  `kernel(r2, grad)` writes K over r2 and
+    returns (K, W); W (only when `grad`) is the weight in dK/dx_j =
+    W (x_j - x_k).  Row strip [lo, hi) meets only the columns lo..n-1.  Its
+    own square keeps both orders of each pair, with the diagonal fed r2 = 1
+    and dropped.  The columns from hi on are the pairs k > j, walked once:
+    they count twice in the sum, and their gradient weights go into both
+    endpoints.  With N^2 <= _BLOCK the square is the whole matrix and
+    nothing else is built.  Returns (total, G) with
+    G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
     """
     n = pts.shape[0]
-    sq = np.einsum("ij,ij->i", pts, pts)
+    sq = np.einsum("ij,ij->i", pts, pts)[:, None]
+    one = np.ones((n, 1))
+    left = np.hstack((pts, sq, one))
+    right = np.ascontiguousarray(np.hstack((-2.0 * pts, one, sq)).T)
     height = max(1, _BLOCK // n)
     rows = np.empty(n)  # row sums of each strip's square
     upper = np.empty(n) if n > height else None  # row sums of the pairs k >= hi
@@ -71,16 +78,13 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
         # acc_j = sum of W_jk (x_k, 1) over the pairs walked once, from both
         # ends; a strip's update of the columns after it is then one GEMM
         # and one add, not a pass per coordinate
-        aug = np.hstack((pts, np.ones((n, 1))))
+        aug = np.hstack((pts, one))
         acc = np.zeros_like(aug)
     for lo in range(0, n, height):
         hi = min(lo + height, n)
         h = hi - lo
         blk = pts[lo:hi]
-        r2 = blk @ pts[lo:].T
-        r2 *= -2.0
-        r2 += sq[lo:hi, None]
-        r2 += sq[lo:]
+        r2 = left[lo:hi] @ right[:, lo:]
         diag = slice(None, None, n - lo + 1)  # the square's diagonal (j, j)
         r2.reshape(-1)[diag] = 1.0
         if r2.min() < _NEAR_R2:
@@ -118,17 +122,22 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
 
 
 def _riesz_kernel(s: float):
-    # r^-s (-log r at s=0) and its gradient weight, as functions of r^2
+    # r^-s (-log r at s=0) and its gradient weight, as functions of r^2,
+    # written over the r2 strip; a weight that needs r2 is taken first
     def kernel(r2, grad):
         if s == -1.0:
-            k = np.sqrt(r2)
+            k = np.sqrt(r2, out=r2)
             return k, (1.0 / k if grad else None)
+        if s == 1.0:
+            k = np.reciprocal(np.sqrt(r2, out=r2), out=r2)
+            return k, (-k * k * k if grad else None)
         if s == 0.0:
-            k = np.log(r2)
+            w = -1.0 / r2 if grad else None
+            k = np.log(r2, out=r2)
             k *= -0.5
-            return k, (-1.0 / r2 if grad else None)
-        k = np.power(r2, -0.5 * s)
-        return k, (-s * np.power(r2, -0.5 * s - 1.0) if grad else None)
+            return k, w
+        w = -s * np.power(r2, -0.5 * s - 1.0) if grad else None
+        return np.power(r2, -0.5 * s, out=r2), w
 
     return kernel
 

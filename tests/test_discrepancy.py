@@ -37,6 +37,7 @@ from rieszcap.errors import (
     RangeError,
 )
 from rieszcap.pointsets import (
+    INGEST_NORM_TOL,
     PointSet,
     fibonacci_sphere,
     hammersley_square,
@@ -625,3 +626,13 @@ def test_mean_distance_matches_brute_force():
         for k in range(10):
             brute += np.linalg.norm(pts[j] - pts[k])
     assert mean_distance(X) == pytest.approx(brute / 100.0, rel=1e-12)
+
+
+def test_pair_estimators_see_unit_points():
+    # ingestion accepts rows up to INGEST_NORM_TOL off unit norm; the pair-sum
+    # estimators must read such a set as its unit-norm points
+    X = fibonacci_sphere(1000)
+    scale = 1.0 + 9e-10 * np.random.default_rng(3).choice((-1.0, 1.0), X.n)
+    Y = PointSet(2, X.points * scale[:, None], norm_tol=INGEST_NORM_TOL)
+    for estimator in (l2_cap_discrepancy, cui_freeden, sum_distance_discrepancy):
+        assert estimator(Y).value == pytest.approx(estimator(X).value, rel=1e-12, abs=0.0)
