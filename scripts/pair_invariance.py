@@ -18,6 +18,10 @@ in its own process with one BLAS thread and reports:
 
 The script prints both reports and one JSON line with the verdict, and
 exits 0 when everything is bitwise equal and threads agree, 1 otherwise.
+When bits differ it prints one more JSON line with how far they moved: the
+largest relative energy difference and the largest gradient difference
+over max|g| on the grid, and the probe iteration counts of both trees side
+by side.
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
 """
@@ -57,19 +61,39 @@ def report() -> dict:
         res = optimizer.optimize(X0, cfg, threads=1)
         probe.append({"N": X0.n, "iterations": res.iterations, "stop": res.stop_reason,
                       "energy": res.energy.hex(), "points": _digest(res.best.points)})
-    grid = {}
+    grid, values = {}, {}
     for n in GRID_N:
         X = pointsets.random_uniform(2, n, seed=n)
         for s in GRID_S:
             e, g = energy.riesz_energy_and_gradient(X, s)
-            grid[f"N={n} s={s:g}"] = {"energy": e.hex(), "gradient": _digest(g)}
+            key = f"N={n} s={s:g}"
+            grid[key] = {"energy": e.hex(), "gradient": _digest(g)}
+            values[key] = {"energy": e, "gradient": g.tolist()}
     cfg = optimizer.OptimizerConfig(s=-1.0, max_iters=200, grad_tol=1e-6, restarts=3, seed=5)
     X0 = pointsets.random_uniform(2, 48, seed=7)
     serial, threaded = (optimizer.optimize(X0, cfg, threads=t) for t in (1, 3))
     same = serial.to_json() == threaded.to_json() and bool(
         (serial.best.points == threaded.best.points).all()
     )
-    return {"probe": probe, "grid": grid, "threads_1_vs_3_equal": same}
+    return {"probe": probe, "grid": grid, "threads_1_vs_3_equal": same, "values": values}
+
+
+def moved(ref: dict, new: dict) -> dict:
+    """How far the grid values and the probe iteration counts moved."""
+    rel_e, rel_g = 0.0, 0.0
+    for key, a in ref["values"].items():
+        b = new["values"][key]
+        if a["energy"] != b["energy"]:
+            rel_e = max(rel_e, abs(b["energy"] - a["energy"]) / abs(a["energy"]))
+        ga, gb = np.array(a["gradient"]), np.array(b["gradient"])
+        rel_g = max(rel_g, float(np.abs(gb - ga).max() / np.abs(ga).max()))
+    return {
+        "max_rel_energy_diff": rel_e,
+        "max_grad_diff_over_max_g": rel_g,
+        "probe_iterations_ref_vs_src": [
+            [p["N"], p["iterations"], q["iterations"]] for p, q in zip(ref["probe"], new["probe"])
+        ],
+    }
 
 
 def _run(src: Path) -> dict:
@@ -92,7 +116,9 @@ def main(argv=None) -> int:
     if args.ref is None:
         parser.error("REF_SRC is required")
     ref, new = _run(args.ref.resolve()), _run(args.src.resolve())
-    print(json.dumps({"ref": ref, "src": new}, indent=1))
+    shown = {tree: {k: v for k, v in rep.items() if k != "values"}
+             for tree, rep in (("ref", ref), ("src", new))}
+    print(json.dumps(shown, indent=1))
     verdict = {
         "probe_equal": ref["probe"] == new["probe"],
         "grid_equal": ref["grid"] == new["grid"],
@@ -100,6 +126,8 @@ def main(argv=None) -> int:
         "threads_1_vs_3_equal": new["threads_1_vs_3_equal"],
     }
     print(json.dumps(verdict))
+    if not (verdict["probe_equal"] and verdict["grid_equal"]):
+        print(json.dumps(moved(ref, new)))
     ok = verdict["probe_equal"] and verdict["grid_equal"] and verdict["threads_1_vs_3_equal"]
     return 0 if ok else 1
 

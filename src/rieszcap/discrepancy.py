@@ -3,7 +3,8 @@
 Six report kinds:
   L2CapClosed   closed form through the distance-sum identity
   L2CapDirect   Monte-Carlo over cap centers, exact threshold integral for
-                every d (one sort per center, floor ~1e-15 absolute per center)
+                every d (one sort per center, absolute floor DIRECT_DSQ_FLOOR
+                per center)
   CuiFreeden    generalized discrepancy with the 2 log(1 + r/2) kernel (S^2)
   SumDistance   sqrt(4/3 - mean distance) generalized discrepancy (S^2)
   CapSupLower   sampled lower bound on the sup-cap discrepancy
@@ -33,6 +34,8 @@ from .pointsets import PointSet, random_uniform
 from .special_functions import _half_gamma_quotient
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
+DIRECT_DSQ_FLOOR = 1e-15  # absolute error of one center's D^2 in the direct
+                          # estimator: O(1) terms cancel down to it
 WEYL_MAX_DEGREE = 256
 
 
@@ -137,12 +140,13 @@ def _sorted_projections(X: PointSet, centers: np.ndarray):
     number of centers.  The block height is a power of two so that blocks
     start on BLAS row-tile boundaries; with two or more centers per block the
     projections then match one whole-matrix product bit for bit (checked with
-    OpenBLAS)."""
+    OpenBLAS).  The x_j are the points scaled to unit norm."""
     fit = max(1, _BLOCK // (X.n + 1))
     height = 1 << (fit.bit_length() - 1)
+    pts_t = _unit_points(X).T
     for start in range(0, centers.shape[0], height):
         rows = slice(start, start + height)
-        u = np.clip(centers[rows] @ X.points.T, -1.0, 1.0)
+        u = np.clip(centers[rows] @ pts_t, -1.0, 1.0)
         u.sort(axis=1)
         yield rows, u
 
@@ -166,7 +170,7 @@ def _direct_dsq_per_center(X: PointSet, centers: np.ndarray) -> np.ndarray:
 
     One sort and one matrix-vector product per block of centers.  The O(1)
     terms cancel down to D^2, so the result carries an absolute floor of
-    about 1e-15 per center (a few ulps of 1), not one relative to D^2."""
+    DIRECT_DSQ_FLOOR per center (a few ulps of 1), not one relative to D^2."""
     n, d = X.n, X.d
     c = d * ball_sphere_ratio(d)
     # N^-2 sum_{j,k} min(u_j, u_k) = u @ w; the ones of the three terms fold
@@ -182,9 +186,10 @@ def _direct_dsq_per_center(X: PointSet, centers: np.ndarray) -> np.ndarray:
 
 def l2_cap_discrepancy_direct(X: PointSet, centers: int, seed) -> DiscrepancyReport:
     """Monte-Carlo over cap centers with the threshold integral done exactly
-    for every d (one sort per center; absolute floor about 1e-15 per center,
-    see _direct_dsq_per_center).  Reports the standard error of the center
-    average of D^2."""
+    for every d (one sort per center).  Reports the standard error of the
+    center average of D^2 and, as `d_squared_floor`, the absolute error
+    DIRECT_DSQ_FLOOR that each center's D^2 and so their mean can carry
+    (see _direct_dsq_per_center)."""
     C = sample_centers(X.d, centers, seed)
     per = _direct_dsq_per_center(X, C)
     dsq = float(per.mean())
@@ -198,6 +203,7 @@ def l2_cap_discrepancy_direct(X: PointSet, centers: int, seed) -> DiscrepancyRep
             "seed": seed,
             "d_squared": dsq,
             "standard_error_d_squared": se,
+            "d_squared_floor": DIRECT_DSQ_FLOOR,
         },
     )
 

@@ -12,6 +12,9 @@ Conventions fixed here once:
     its smallest one is below _NEAR_R2, the pairs under it are recomputed
     from coordinate differences, where that form loses digits.  The kernel
     then overwrites the strip in place.
+  * Gradients: every weight of a strip, its own square's and the columns
+    after it, reaches one accumulator sum_k W_jk (x_k, 1) through a GEMM
+    against the rows [x, 1], for every N.
   * Reductions: each strip row is summed by numpy's pairwise tree and the
     row totals by math.fsum.  The strip order is fixed, so results are
     bitwise deterministic for fixed N and BLAS; for N^2 <= _BLOCK one strip
@@ -62,41 +65,46 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
     and dropped.  The columns from hi on are the pairs k > j, walked once:
     they count twice in the sum, and their gradient weights go into both
     endpoints.  With N^2 <= _BLOCK the square is the whole matrix and
-    nothing else is built.  Returns (total, G) with
-    G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
+    nothing else is built.  Every gradient weight, the square's and the
+    later columns', reaches one accumulator through GEMMs against the rows
+    [x, 1].  Returns (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or
+    None without `grad`.
     """
-    n = pts.shape[0]
-    sq = np.einsum("ij,ij->i", pts, pts)[:, None]
-    one = np.ones((n, 1))
-    left = np.hstack((pts, sq, one))
-    right = np.ascontiguousarray(np.hstack((-2.0 * pts, one, sq)).T)
+    n, m = pts.shape
+    left = np.empty((n, m + 2))
+    right = np.empty((m + 2, n))
+    np.einsum("ij,ij->i", pts, pts, out=right[m + 1])
+    left[:, :m] = pts
+    left[:, m] = right[m + 1]
+    left[:, m + 1] = 1.0
+    np.multiply(pts.T, -2.0, out=right[:m])
+    right[m] = 1.0
     height = max(1, _BLOCK // n)
     rows = np.empty(n)  # row sums of each strip's square
     upper = np.empty(n) if n > height else None  # row sums of the pairs k >= hi
-    g = np.empty_like(pts) if grad else None
-    if grad and upper is not None:
-        # acc_j = sum of W_jk (x_k, 1) over the pairs walked once, from both
-        # ends; a strip's update of the columns after it is then one GEMM
-        # and one add, not a pass per coordinate
-        aug = np.hstack((pts, one))
-        acc = np.zeros_like(aug)
+    if grad:
+        # acc_j = sum_k W_jk (x_k, 1).  Its own [x, 1] rather than `left`:
+        # against five columns OpenBLAS rounded the x sums up to 6x worse
+        aug = np.empty((n, m + 1))
+        aug[:, :m] = pts
+        aug[:, m] = 1.0
+        acc = np.zeros((n, m + 1))
     for lo in range(0, n, height):
         hi = min(lo + height, n)
         h = hi - lo
-        blk = pts[lo:hi]
         r2 = left[lo:hi] @ right[:, lo:]
         diag = slice(None, None, n - lo + 1)  # the square's diagonal (j, j)
         r2.reshape(-1)[diag] = 1.0
         if r2.min() < _NEAR_R2:
             flat = np.flatnonzero(r2 < _NEAR_R2)
             i, k = np.divmod(flat, n - lo)
-            diff = blk[i] - pts[lo + k]
+            diff = pts[lo + i] - pts[lo + k]
             near = np.einsum("ij,ij->i", diff, diff)
             r2.reshape(-1)[flat] = near
-            m = float(near.min())
-            if coincident_error and m < COINCIDENCE_TOL * COINCIDENCE_TOL:
+            closest = float(near.min())
+            if coincident_error and closest < COINCIDENCE_TOL * COINCIDENCE_TOL:
                 raise CoincidentPointsError(
-                    f"pair distance {math.sqrt(m):.3g} below {COINCIDENCE_TOL:g}"
+                    f"pair distance {math.sqrt(closest):.3g} below {COINCIDENCE_TOL:g}"
                 )
         kern, w = kernel(r2, grad)
         kern.reshape(-1)[diag] = 0.0
@@ -105,19 +113,17 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
             upper[lo:hi] = kern[:, h:].sum(axis=1)
         if grad:
             w.reshape(-1)[diag] = 0.0
-            ws = w[:, :h]
-            g[lo:hi] = ws.sum(axis=1)[:, None] * blk - ws @ blk
+            acc[lo:hi] += w @ aug[lo:]
             if hi < n:
-                w = w[:, h:]
-                acc[lo:hi] += w @ aug[hi:]
-                acc[hi:] += w.T @ aug[lo:hi]
+                acc[hi:] += w[:, h:].T @ aug[lo:hi]
     if upper is not None:
         rows = np.concatenate((rows, 2.0 * upper))
-        if grad:
-            g += acc[:, -1:] * pts
-            g -= acc[:, :-1]
+    g = None
     if grad:
-        g *= 2.0  # each unordered pair appears twice in the ordered sum
+        # each unordered pair appears twice in the ordered sum
+        g = acc[:, m:] * pts
+        g -= acc[:, :m]
+        g *= 2.0
     return math.fsum(rows.tolist()), g
 
 

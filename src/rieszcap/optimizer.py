@@ -17,6 +17,7 @@ only says the tangential gradient dropped below `grad_tol`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,11 +86,27 @@ class OptimizerResult:
         }
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # not np.vdot: OpenBLAS splits a dot product of more than 10,000 entries
+    # over its threads, and the iterates would depend on the BLAS thread count
+    return float(np.einsum("ij,ij->", a, b))
+
+
+def _grad_sizes(g: np.ndarray) -> tuple[float, float]:
+    """|g|^2 and the largest row norm of g."""
+    sq = _row_dots(g, g)
+    return float(sq.sum()), math.sqrt(float(sq.max()))
+
+
 def _renormalized(x: np.ndarray) -> np.ndarray | None:
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1)
+        norms = np.sqrt(_row_dots(x, x))
     # a step that collapsed a point or overflowed; the caller backtracks
-    if not np.all((norms >= 1e-8) & (norms < np.inf)):
+    if not (norms.min() >= 1e-8 and norms.max() < np.inf):
         return None
     return x / norms[:, None]
 
@@ -98,7 +115,7 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
     sign = 1.0 if cfg.maximize else -1.0
     x = x0.copy()
     energy, grad = riesz_energy_and_gradient(PointSet(d, x), cfg.s)
-    gmax = float(np.linalg.norm(grad, axis=1).max()) if x.shape[0] > 1 else 0.0
+    g2, gmax = _grad_sizes(grad)
     step = cfg.step_init
     iters = 0
     stop = "max_iters"
@@ -107,7 +124,6 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
         if gmax <= cfg.grad_tol:
             stop = "grad_tol"
             break
-        g2 = float(np.sum(grad * grad))
         accepted = False
         while step >= STEP_STALL:
             trial = _renormalized(x + (sign * step) * grad)
@@ -124,18 +140,18 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
         # Riemannian BB: projection carries the old gradient to the new
         # tangent spaces; c is the curvature along s of -sign * energy.
         s_vec = trial - x
-        y = g_new - (grad - np.sum(grad * trial, axis=1, keepdims=True) * trial)
-        c = -sign * float(np.sum(s_vec * y))
+        y = g_new - (grad - _row_dots(grad, trial)[:, None] * trial)
+        c = -sign * _dot(s_vec, y)
         x, energy, grad = trial, e_new, g_new
-        gmax = float(np.linalg.norm(grad, axis=1).max())
+        g2, gmax = _grad_sizes(grad)
         if keep_trace:
             trace.append((iters, energy, gmax, step))
         if c <= 0.0:
             step *= _GROWTH
         elif iters % 2:
-            step = float(np.sum(s_vec * s_vec)) / c
+            step = _dot(s_vec, s_vec) / c
         else:
-            step = c / float(np.sum(y * y))
+            step = c / _dot(y, y)
     if gmax <= cfg.grad_tol:
         stop = "grad_tol"
     return x, energy, gmax, iters, stop, trace

@@ -42,12 +42,16 @@ class PointSet:
             raise ValidationError(
                 f"points must have shape (N, {d + 1}) with N >= 1, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("points must be finite")
-        norms = np.linalg.norm(arr, axis=1)
+        # one pass: a non-finite coordinate makes its row's norm non-finite,
+        # and then dev.max() fails the test below; so does a norm that
+        # overflowed, which the coordinate re-scan tells apart
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.add.reduce(arr * arr, axis=1))
         dev = np.abs(norms - 1.0)
-        worst = int(np.argmax(dev))
-        if dev[worst] > norm_tol:
+        if not dev.max() <= norm_tol:
+            if not np.isfinite(arr).all():
+                raise ValidationError("points must be finite")
+            worst = int(np.argmax(dev))
             raise ValidationError(
                 f"point {worst} has norm {norms[worst]:.17g}, "
                 f"off unit by {dev[worst]:.3g} > {norm_tol:g}"

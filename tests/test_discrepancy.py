@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszcap.discrepancy import (
+    DIRECT_DSQ_FLOOR,
     WEYL_MAX_DEGREE,
     DiscrepancyReport,
     _cap_sup_given_centers,
@@ -225,7 +226,7 @@ def test_direct_per_center_matches_mpmath(d):
     X = random_uniform(d, 6, seed=30 + d)
     C = sample_centers(d, 3, 50 + d)
     ref = [_per_center_mpmath(X.points, c) for c in C]
-    np.testing.assert_allclose(_direct_dsq_per_center(X, C), ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_direct_dsq_per_center(X, C), ref, rtol=0, atol=DIRECT_DSQ_FLOOR)
 
 
 def test_direct_per_center_point_near_antipode_s3():
@@ -254,6 +255,7 @@ def test_direct_single_point_s2_mean():
     dsq = rep.diagnostics["d_squared"]
     se = rep.diagnostics["standard_error_d_squared"]
     assert abs(dsq - 1.0 / 3.0) < 3.0 * se
+    assert rep.diagnostics["d_squared_floor"] == DIRECT_DSQ_FLOOR
 
 
 def test_direct_single_point_s1_mean():
@@ -630,9 +632,13 @@ def test_mean_distance_matches_brute_force():
 
 def test_pair_estimators_see_unit_points():
     # ingestion accepts rows up to INGEST_NORM_TOL off unit norm; the pair-sum
-    # estimators must read such a set as its unit-norm points
+    # estimators and those that project onto cap centers must read such a
+    # set as its unit-norm points
     X = fibonacci_sphere(1000)
     scale = 1.0 + 9e-10 * np.random.default_rng(3).choice((-1.0, 1.0), X.n)
     Y = PointSet(2, X.points * scale[:, None], norm_tol=INGEST_NORM_TOL)
     for estimator in (l2_cap_discrepancy, cui_freeden, sum_distance_discrepancy):
         assert estimator(Y).value == pytest.approx(estimator(X).value, rel=1e-12, abs=0.0)
+    for estimator in (l2_cap_discrepancy_direct, cap_sup_discrepancy_lower):
+        want = estimator(X, 256, 1).value
+        assert estimator(Y, 256, 1).value == pytest.approx(want, rel=1e-12, abs=0.0)

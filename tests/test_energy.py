@@ -287,15 +287,18 @@ def test_gradient_directional_derivative():
 
 
 def test_gradient_matches_long_double_reference():
-    # N=600 walks three row strips; the Gram-form distances and the
-    # cancellation in sum_k W_jk (x_j - x_k) stay near 1e-13 of max|g|; s =
-    # -1/2, 1/2 and 2 take the general-s kernel, which forms W from r2 before
-    # K is written over it
-    X = random_uniform(2, 600, 26)
-    for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-        want = _long_double_gradient(X.points, s)
-        err = float(np.max(np.abs(riesz_gradient(X, s) - want)))
-        assert err <= 5e-13 * float(np.max(np.abs(want))), s
+    # N <= 362 is one strip, whose square reaches the gradient accumulator by
+    # the same GEMM as the columns after a strip; N=600 walks three row
+    # strips.  The Gram-form distances and the cancellation in
+    # sum_k W_jk (x_j - x_k) stay near 1e-13 of max|g|; s = -1/2, 1/2 and 2
+    # take the general-s kernel, which forms W from r2 before K is written
+    # over it
+    for n in (32, 128, 362, 600):
+        X = random_uniform(2, n, 26)
+        for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            want = _long_double_gradient(X.points, s)
+            err = float(np.max(np.abs(riesz_gradient(X, s) - want)))
+            assert err <= 5e-13 * float(np.max(np.abs(want))), (n, s)
 
 
 def test_fused_energy_gradient_consistent():

@@ -1,6 +1,7 @@
 """Constructors, invariants, and the file round-trip contract."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,24 @@ def test_pointset_validation():
         PointSet(1, [[float("nan"), 0.0]])
     with pytest.raises(ValidationError):
         PointSet(0, [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([float("nan"), 0.0, 0.0], "points must be finite"),
+        ([0.0, float("inf"), 0.0], "points must be finite"),
+        ([1e200, 0.0, 0.0], "point 1 has norm"),  # finite, but its norm overflows
+        ([0.0, 0.0, 1.0 + 1e-9], "point 1 has norm"),
+    ],
+)
+def test_pointset_rejects_row_with_typed_error(row, message):
+    # validation takes the norms in one pass; a non-finite coordinate or an
+    # overflowing norm must still give its own message, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            PointSet(2, [[1.0, 0.0, 0.0], row, [0.0, 1.0, 0.0]])
 
 
 def test_pointset_immutable():
