@@ -9,8 +9,8 @@ in its own process with one BLAS thread and reports:
 
   * the six starts of the benchmark's probe pool (`bench/workloads.py`,
     `probe_generate(3)`) optimized at s = -1, max_iters 20000,
-    grad_tol 3e-5 N: iteration counts, stop reasons, final energies and a
-    digest of the final points;
+    grad_tol 3e-5 N: iteration and energy/gradient evaluation counts, stop
+    reasons, final energies and a digest of the final points;
   * energies and gradients of uniform random sets at N in {32, 64, 128}
     for s in {-1, 0, 1/2, 2};
   * whether `optimize` with three restarts gives the same result with
@@ -20,8 +20,8 @@ The script prints both reports and one JSON line with the verdict, and
 exits 0 when everything is bitwise equal and threads agree, 1 otherwise.
 When bits differ it prints one more JSON line with how far they moved: the
 largest relative energy difference and the largest gradient difference
-over max|g| on the grid, and the probe iteration counts of both trees side
-by side.
+over max|g| on the grid, and the probe iteration and evaluation counts of
+both trees side by side.
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
 """
@@ -52,15 +52,28 @@ def report() -> dict:
     import workloads
     from rieszcap import energy, optimizer, pointsets
 
+    # counted at the optimizer's module name, as bench/tracing.py counts,
+    # so trees whose results carry no evaluation counts report them too
+    calls = [0]
+    evaluate = optimizer.riesz_energy_and_gradient
+
+    def counting(X, s):
+        calls[0] += 1
+        return evaluate(X, s)
+
+    optimizer.riesz_energy_and_gradient = counting
     probe = []
     for X0 in workloads.probe_generate(3):
+        calls[0] = 0
         cfg = optimizer.OptimizerConfig(
             s=-1.0, max_iters=workloads.PROBE_MAX_ITERS,
             grad_tol=workloads.PROBE_GRAD_TOL_PER_N * X0.n,
         )
         res = optimizer.optimize(X0, cfg, threads=1)
-        probe.append({"N": X0.n, "iterations": res.iterations, "stop": res.stop_reason,
+        probe.append({"N": X0.n, "iterations": res.iterations, "evaluations": calls[0],
+                      "stop": res.stop_reason,
                       "energy": res.energy.hex(), "points": _digest(res.best.points)})
+    optimizer.riesz_energy_and_gradient = evaluate
     grid, values = {}, {}
     for n in GRID_N:
         X = pointsets.random_uniform(2, n, seed=n)
@@ -79,7 +92,7 @@ def report() -> dict:
 
 
 def moved(ref: dict, new: dict) -> dict:
-    """How far the grid values and the probe iteration counts moved."""
+    """How far the grid values and the probe iteration and evaluation counts moved."""
     rel_e, rel_g = 0.0, 0.0
     for key, a in ref["values"].items():
         b = new["values"][key]
@@ -90,8 +103,9 @@ def moved(ref: dict, new: dict) -> dict:
     return {
         "max_rel_energy_diff": rel_e,
         "max_grad_diff_over_max_g": rel_g,
-        "probe_iterations_ref_vs_src": [
-            [p["N"], p["iterations"], q["iterations"]] for p, q in zip(ref["probe"], new["probe"])
+        "probe_N_iterations_evaluations_ref_vs_src": [
+            [p["N"], p["iterations"], q["iterations"], p["evaluations"], q["evaluations"]]
+            for p, q in zip(ref["probe"], new["probe"])
         ],
     }
 
@@ -123,6 +137,7 @@ def main(argv=None) -> int:
         "probe_equal": ref["probe"] == new["probe"],
         "grid_equal": ref["grid"] == new["grid"],
         "iterations": [p["iterations"] for p in new["probe"]],
+        "evaluations": [p["evaluations"] for p in new["probe"]],
         "threads_1_vs_3_equal": new["threads_1_vs_3_equal"],
     }
     print(json.dumps(verdict))

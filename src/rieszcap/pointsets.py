@@ -185,8 +185,7 @@ def dumps_pointset(ps: PointSet, format: str = "csv", header: bool = True) -> st
         lines = []
         if header:
             lines.append(f"# d={ps.d} n={ps.n}")
-        for row in ps.points:
-            lines.append(",".join(repr(float(c)) for c in row))
+        lines.extend(",".join(map(repr, row)) for row in ps.points.tolist())
         return "\n".join(lines) + "\n"
     if format == "json":
         return json.dumps({"d": ps.d, "points": [[float(c) for c in row] for row in ps.points]})
@@ -228,9 +227,8 @@ def _load_csv(text: str) -> PointSet:
                     except ValueError:
                         raise ParseError(f"bad header token {tok!r}", line=lineno) from None
             continue
-        parts = [p.strip() for p in line.split(",")]
         try:
-            vals = [float(p) for p in parts]
+            vals = list(map(float, line.split(",")))  # float strips whitespace
         except ValueError:
             raise ParseError(f"non-numeric entry in {line!r}", line=lineno) from None
         if ncols is None:

@@ -5,7 +5,7 @@ import pytest
 
 from rieszcap.energy import riesz_energy, riesz_gradient
 from rieszcap.errors import CoincidentPointsError, DomainError, ValidationError
-from rieszcap.optimizer import OptimizerConfig, optimize
+from rieszcap.optimizer import _ZH_ETA, OptimizerConfig, optimize
 from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
 
 from oracles import finite_diff_gradient
@@ -98,23 +98,45 @@ def test_minimization_side_recovers_roots():
     assert res.energy == pytest.approx(riesz_energy(roots_of_unity(3), 2.0), abs=1e-8)
 
 
-def test_trace_objective_monotone_and_iterates_feasible():
+def _zhang_hager_references(objs, sign):
+    """C_0..C_{k-1} rebuilt from the trace objectives with the module's eta."""
+    ref, weight, refs = sign * objs[0], 1.0, []
+    for f in objs[1:]:
+        refs.append(ref)
+        grown = _ZH_ETA * weight + 1.0
+        ref = (_ZH_ETA * weight * ref + sign * f) / grown
+        weight = grown
+    return refs
+
+
+def test_trace_beats_zhang_hager_average_and_iterates_feasible():
     res = optimize(
         random_uniform(2, 10, seed=4), OptimizerConfig(s=-1.0), keep_trace=True
     )
     objs = [row[1] for row in res.trace]
-    assert all(b >= a for a, b in zip(objs, objs[1:]))  # ascent accepted only
+    refs = _zhang_hager_references(objs, 1.0)
+    assert all(f > c for f, c in zip(objs[1:], refs))  # ascent on the average
     assert res.trace[0][0] == 0
     assert res.trace[-1][0] == res.iterations
     assert np.abs(np.linalg.norm(res.best.points, axis=1) - 1.0).max() < 1e-12
 
 
-def test_descent_trace_monotone():
+def test_descent_trace_beats_zhang_hager_average():
     res = optimize(
         random_uniform(2, 8, seed=6), OptimizerConfig(s=1.0), keep_trace=True
     )
     objs = [row[1] for row in res.trace]
-    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    refs = _zhang_hager_references(objs, -1.0)
+    assert all(-f > c for f, c in zip(objs[1:], refs))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("n, s", [(4, -1.0), (5, -1.0), (6, -1.0), (12, -1.0), (12, 1.0)])
+def test_small_sets_reach_default_grad_tol(n, s, seed):
+    # a monotone Armijo test stalled all ten at 2.4e-9 to 1.1e-7: the gain
+    # fell below the rounding of the energy sum before grad_tol 1e-9
+    res = optimize(random_uniform(2, n, seed=seed), OptimizerConfig(s=s))
+    assert res.stop_reason == "grad_tol"
 
 
 def test_deterministic_bitwise():
@@ -145,9 +167,9 @@ def test_restarts_never_hurt():
     assert multi.restart_grad_norms[winner] == multi.grad_norm
 
 
-def test_evaluation_economy(monkeypatch):
-    # every rejected trial pays for an evaluation: most Barzilai-Borwein
-    # trial steps must pass the Armijo test at once
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Arguments of every energy/gradient call the optimizer makes."""
     import rieszcap.optimizer as opt
 
     calls = []
@@ -158,10 +180,28 @@ def test_evaluation_economy(monkeypatch):
         return counted(X, s)
 
     monkeypatch.setattr(opt, "riesz_energy_and_gradient", counting)
+    return calls
+
+
+def test_evaluation_economy(evaluations):
+    # every rejected trial pays for an evaluation: most Barzilai-Borwein
+    # trial steps must pass the Armijo test at once
     res = optimize(random_uniform(2, 64, seed=64), OptimizerConfig(s=-1.0, grad_tol=1.92e-3))
     assert res.stop_reason == "grad_tol"
     assert res.iterations <= 400
-    assert len(calls) <= 1.5 * res.iterations
+    assert len(evaluations) <= 1.5 * res.iterations
+    assert res.restart_evaluations == [len(evaluations)]
+
+
+def test_restart_evaluations_count_calls_and_ignore_threads(evaluations):
+    X0 = random_uniform(2, 16, seed=2)
+    cfg = OptimizerConfig(s=-1.0, restarts=3, seed=4, grad_tol=1e-6)
+    serial = optimize(X0, cfg)
+    assert len(serial.restart_evaluations) == 3
+    assert sum(serial.restart_evaluations) == len(evaluations)
+    threaded = optimize(X0, cfg, threads=3)
+    assert threaded.restart_evaluations == serial.restart_evaluations
+    assert threaded.to_json() == serial.to_json()
 
 
 def test_coincident_start_propagates():
@@ -184,6 +224,7 @@ def test_result_json_fields():
         "restart_energies",
         "restart_stop_reasons",
         "restart_grad_norms",
+        "restart_evaluations",
         "n",
         "d",
     ):
@@ -191,6 +232,8 @@ def test_result_json_fields():
     assert blob["n"] == 4 and blob["d"] == 1
     assert blob["restart_stop_reasons"] == [res.stop_reason]
     assert blob["restart_grad_norms"] == [res.grad_norm]
+    assert blob["restart_evaluations"] == res.restart_evaluations
+    assert len(res.restart_evaluations) == 1
 
 
 # ---------------------------------------------------- finite differences

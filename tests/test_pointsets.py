@@ -246,6 +246,26 @@ def test_roundtrip_bitwise_csv_and_json(tmp_path):
         assert np.array_equal(back.points, ps.points)  # bitwise
 
 
+def test_csv_dump_bytes_pinned():
+    # shortest round-trip repr of each coordinate: signed zero, a tiny normal
+    # and 17-significant-digit values keep their exact spelling
+    a = 0.12345678901234568
+    ps = PointSet(2, np.array([
+        [-0.0, 1e-300, 1.0],
+        [a, -0.0, math.sqrt(1.0 - a * a)],
+        [0.1 + 0.2, -math.sqrt(0.91), 0.0],
+    ]))
+    text = dumps_pointset(ps)
+    assert text == (
+        "# d=2 n=3\n"
+        "-0.0,1e-300,1.0\n"
+        "0.12345678901234568,-0.0,0.9923499489831\n"
+        "0.30000000000000004,-0.9539392014169457,0.0\n"
+    )
+    back = loads_pointset(text)
+    assert back.points.tobytes() == ps.points.tobytes()  # -0.0 keeps its sign
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=3),
