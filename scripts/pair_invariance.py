@@ -11,8 +11,12 @@ in its own process with one BLAS thread and reports:
     `probe_generate(3)`) optimized at s = -1, max_iters 20000,
     grad_tol 3e-5 N: iteration and energy/gradient evaluation counts, stop
     reasons, final energies and a digest of the final points;
-  * energies and gradients of uniform random sets at N in {32, 64, 128}
-    for s in {-1, 0, 1/2, 2};
+  * energies (from the energy-only walk and from the gradient walk) and
+    gradients for s in {-1, 0, 1/2, 2}, on the one-strip grid of uniform
+    random sets at N in {32, 64, 128} and on multi-strip inputs, whose
+    strips share one buffer and repair close pairs: uniform random S^2 at
+    N = 600 and 4096, the 4096th roots of unity and uniform random S^3 at
+    N = 1000;
   * whether `optimize` with three restarts gives the same result with
     threads=1 and threads=3.
 
@@ -20,7 +24,7 @@ The script prints both reports and one JSON line with the verdict, and
 exits 0 when everything is bitwise equal and threads agree, 1 otherwise.
 When bits differ it prints one more JSON line with how far they moved: the
 largest relative energy difference and the largest gradient difference
-over max|g| on the grid, and the probe iteration and evaluation counts of
+over max|g| on both grids, and the probe iteration and evaluation counts of
 both trees side by side.
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
@@ -41,10 +45,25 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 GRID_N = (32, 64, 128)
 GRID_S = (-1.0, 0.0, 0.5, 2.0)
+# (label, d, N) of the multi-strip inputs; "roots" is roots_of_unity(N)
+MULTI_STRIP = (("S2", 2, 600), ("S2", 2, 4096), ("roots", 1, 4096), ("S3", 3, 1000))
 
 
 def _digest(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+def _sums(energy, inputs, values: dict) -> dict:
+    # hex energies and gradient digests by "name s=..."; raw values into `values`
+    out = {}
+    for name, X in inputs:
+        for s in GRID_S:
+            e, g = energy.riesz_energy_and_gradient(X, s)
+            e_only = energy.riesz_energy(X, s)
+            key = f"{name} s={s:g}"
+            out[key] = {"energy": e.hex(), "energy_only": e_only.hex(), "gradient": _digest(g)}
+            values[key] = {"energy": e, "energy_only": e_only, "gradient": g.tolist()}
+    return out
 
 
 def report() -> dict:
@@ -74,21 +93,22 @@ def report() -> dict:
                       "stop": res.stop_reason,
                       "energy": res.energy.hex(), "points": _digest(res.best.points)})
     optimizer.riesz_energy_and_gradient = evaluate
-    grid, values = {}, {}
-    for n in GRID_N:
-        X = pointsets.random_uniform(2, n, seed=n)
-        for s in GRID_S:
-            e, g = energy.riesz_energy_and_gradient(X, s)
-            key = f"N={n} s={s:g}"
-            grid[key] = {"energy": e.hex(), "gradient": _digest(g)}
-            values[key] = {"energy": e, "gradient": g.tolist()}
+    values = {}
+    grid = _sums(energy, [(f"N={n}", pointsets.random_uniform(2, n, seed=n)) for n in GRID_N],
+                 values)
+    multi = _sums(energy, [
+        (f"{label} N={n}",
+         pointsets.roots_of_unity(n) if label == "roots" else pointsets.random_uniform(d, n, seed=n))
+        for label, d, n in MULTI_STRIP
+    ], values)
     cfg = optimizer.OptimizerConfig(s=-1.0, max_iters=200, grad_tol=1e-6, restarts=3, seed=5)
     X0 = pointsets.random_uniform(2, 48, seed=7)
     serial, threaded = (optimizer.optimize(X0, cfg, threads=t) for t in (1, 3))
     same = serial.to_json() == threaded.to_json() and bool(
         (serial.best.points == threaded.best.points).all()
     )
-    return {"probe": probe, "grid": grid, "threads_1_vs_3_equal": same, "values": values}
+    return {"probe": probe, "grid": grid, "multi_strip": multi, "threads_1_vs_3_equal": same,
+            "values": values}
 
 
 def moved(ref: dict, new: dict) -> dict:
@@ -96,8 +116,9 @@ def moved(ref: dict, new: dict) -> dict:
     rel_e, rel_g = 0.0, 0.0
     for key, a in ref["values"].items():
         b = new["values"][key]
-        if a["energy"] != b["energy"]:
-            rel_e = max(rel_e, abs(b["energy"] - a["energy"]) / abs(a["energy"]))
+        for e in ("energy", "energy_only"):
+            if a[e] != b[e]:
+                rel_e = max(rel_e, abs(b[e] - a[e]) / abs(a[e]))
         ga, gb = np.array(a["gradient"]), np.array(b["gradient"])
         rel_g = max(rel_g, float(np.abs(gb - ga).max() / np.abs(ga).max()))
     return {
@@ -136,14 +157,16 @@ def main(argv=None) -> int:
     verdict = {
         "probe_equal": ref["probe"] == new["probe"],
         "grid_equal": ref["grid"] == new["grid"],
+        "multi_strip_equal": ref["multi_strip"] == new["multi_strip"],
         "iterations": [p["iterations"] for p in new["probe"]],
         "evaluations": [p["evaluations"] for p in new["probe"]],
         "threads_1_vs_3_equal": new["threads_1_vs_3_equal"],
     }
     print(json.dumps(verdict))
-    if not (verdict["probe_equal"] and verdict["grid_equal"]):
+    equal = verdict["probe_equal"] and verdict["grid_equal"] and verdict["multi_strip_equal"]
+    if not equal:
         print(json.dumps(moved(ref, new)))
-    ok = verdict["probe_equal"] and verdict["grid_equal"] and verdict["threads_1_vs_3_equal"]
+    ok = equal and verdict["threads_1_vs_3_equal"]
     return 0 if ok else 1
 
 

@@ -216,12 +216,12 @@ def _require_s2(X: PointSet, what: str) -> None:
         raise DimensionError(f"{what} is defined on S^2 only, got d={X.d}")
 
 
-def _cui_freeden_kernel(r2, grad):
-    k = np.sqrt(r2, out=r2)
-    k *= 0.5
-    np.log1p(k, out=k)
-    k *= 2.0
-    return k, None
+def _cui_freeden_kernel(r2, w):
+    # 2 log(1 + r/2) written over the r2 strip; energy-only, so w is None
+    np.sqrt(r2, out=r2)
+    r2 *= 0.5
+    np.log1p(r2, out=r2)
+    r2 *= 2.0
 
 
 def cui_freeden(X: PointSet) -> DiscrepancyReport:

@@ -7,11 +7,11 @@ Conventions fixed here once:
   * Every pair sum walks row strips of at most _BLOCK pair entries, so
     memory stays O(N + _BLOCK) for every N.  Each unordered pair is walked
     once (the kernels are symmetric): a strip meets only its own square and
-    the columns after it.  A strip's squared distances are one GEMM of the
-    augmented rows [x, |x|^2, 1] against the columns [-2y, 1, |y|^2]; when
-    its smallest one is below _NEAR_R2, the pairs under it are recomputed
-    from coordinate differences, where that form loses digits.  The kernel
-    then overwrites the strip in place.
+    the columns after it.  A walk allocates one strip buffer (two with
+    gradients); each strip writes its squared distances there by one GEMM
+    of the rows [x, |x|^2, 1] against the columns [-2y, 1, |y|^2], gathers
+    the pairs under _NEAR_R2 with `take` to redo them from coordinate
+    differences, and lets the kernel overwrite the strip in place.
   * Gradients: every weight of a strip, its own square's and the columns
     after it, reaches one accumulator sum_k W_jk (x_k, 1) through a GEMM
     against the rows [x, 1], for every N.
@@ -47,32 +47,26 @@ from .special_functions import (
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
-_BLOCK = 1 << 17            # pair entries per row strip: 1 MB float arrays, one per
-                            # energy strip and two (r^2 -> K, W) per gradient strip
+_BLOCK = 1 << 17            # pair entries per row strip: one 1 MB buffer per walk,
+                            # two (r^2 -> K, W) for gradients, reused by every strip
 _NEAR_R2 = 1e-2             # GEMM r^2 below this is redone by differences
 
 
 def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False):
-    """Sum of a symmetric pair kernel over the ordered pairs j != k, and
-    optionally its gradient rows.
+    """Sum of a symmetric kernel over the pairs j != k and, with `grad`, the gradient rows G.
 
-    A strip's squared distances are one GEMM, left[lo:hi] @ right[:, lo:],
-    of left = [x, |x|^2, 1] and right = [-2y, 1, |y|^2] stored transposed
-    and contiguous, (d+3) x N.  `kernel(r2, grad)` writes K over r2 and
-    returns (K, W); W (only when `grad`) is the weight in dK/dx_j =
-    W (x_j - x_k).  Row strip [lo, hi) meets only the columns lo..n-1.  Its
-    own square keeps both orders of each pair, with the diagonal fed r2 = 1
-    and dropped.  The columns from hi on are the pairs k > j, walked once:
-    they count twice in the sum, and their gradient weights go into both
-    endpoints.  With N^2 <= _BLOCK the square is the whole matrix and
-    nothing else is built.  Every gradient weight, the square's and the
-    later columns', reaches one accumulator through GEMMs against the rows
-    [x, 1].  Returns (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or
-    None without `grad`.
+    `kernel(r2, w)` writes K over a strip's squared distances r2 and,
+    unless w is None (without `grad`), the weight W of dK/dx_j =
+    W (x_j - x_k) into w; both are views of buffers that every strip reuses.
+    Row strip [lo, hi) meets only the columns lo..n-1: its own square keeps
+    both orders of each pair, with the diagonal fed r2 = 1 and dropped, and
+    the columns from hi on are the pairs k > j, which count twice in the
+    sum and send their gradient weights to both endpoints.  Returns
+    (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
     """
     n, m = pts.shape
-    left = np.empty((n, m + 2))
-    right = np.empty((m + 2, n))
+    left = np.empty((n, m + 2))  # [x, |x|^2, 1]: left[lo:hi] @ right[:, lo:] is r^2
+    right = np.empty((m + 2, n))  # [-2y, 1, |y|^2], transposed and contiguous
     np.einsum("ij,ij->i", pts, pts, out=right[m + 1])
     left[:, :m] = pts
     left[:, m] = right[m + 1]
@@ -80,8 +74,9 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
     np.multiply(pts.T, -2.0, out=right[:m])
     right[m] = 1.0
     height = max(1, _BLOCK // n)
-    rows = np.empty(n)  # row sums of each strip's square
-    upper = np.empty(n) if n > height else None  # row sums of the pairs k >= hi
+    buf = np.empty(min(height, n) * n)  # each strip's r^2, then K
+    wbuf = np.empty(buf.size) if grad else None  # each strip's W
+    rows = np.zeros(2 * n if n > height else n)  # square row sums, then 2x those of k >= hi
     if grad:
         # acc_j = sum_k W_jk (x_k, 1).  Its own [x, 1] rather than `left`:
         # against five columns OpenBLAS rounded the x sums up to 6x worse
@@ -92,32 +87,31 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
     for lo in range(0, n, height):
         hi = min(lo + height, n)
         h = hi - lo
-        r2 = left[lo:hi] @ right[:, lo:]
+        strip = buf[: h * (n - lo)]
+        r2 = np.matmul(left[lo:hi], right[:, lo:], out=strip.reshape(h, n - lo))
         diag = slice(None, None, n - lo + 1)  # the square's diagonal (j, j)
-        r2.reshape(-1)[diag] = 1.0
+        strip[diag] = 1.0
         if r2.min() < _NEAR_R2:
-            flat = np.flatnonzero(r2 < _NEAR_R2)
+            flat = np.flatnonzero(strip < _NEAR_R2)
             i, k = np.divmod(flat, n - lo)
-            diff = pts[lo + i] - pts[lo + k]
+            diff = pts[lo:].take(i, axis=0)  # strip entry (i, k) is pair (lo+i, lo+k)
+            diff -= pts[lo:].take(k, axis=0)
             near = np.einsum("ij,ij->i", diff, diff)
-            r2.reshape(-1)[flat] = near
-            closest = float(near.min())
-            if coincident_error and closest < COINCIDENCE_TOL * COINCIDENCE_TOL:
-                raise CoincidentPointsError(
-                    f"pair distance {math.sqrt(closest):.3g} below {COINCIDENCE_TOL:g}"
-                )
-        kern, w = kernel(r2, grad)
-        kern.reshape(-1)[diag] = 0.0
-        rows[lo:hi] = kern[:, :h].sum(axis=1)
-        if upper is not None:
-            upper[lo:hi] = kern[:, h:].sum(axis=1)
+            strip[flat] = near
+            if coincident_error and near.min() < COINCIDENCE_TOL * COINCIDENCE_TOL:
+                r = math.sqrt(near.min())
+                raise CoincidentPointsError(f"pair distance {r:.3g} below {COINCIDENCE_TOL:g}")
+        w = wbuf[: strip.size].reshape(h, n - lo) if grad else None
+        kernel(r2, w)
+        strip[diag] = 0.0
+        rows[lo:hi] = r2[:, :h].sum(axis=1)
+        if hi < n:
+            rows[n + lo : n + hi] = 2.0 * r2[:, h:].sum(axis=1)
         if grad:
             w.reshape(-1)[diag] = 0.0
             acc[lo:hi] += w @ aug[lo:]
             if hi < n:
                 acc[hi:] += w[:, h:].T @ aug[lo:hi]
-    if upper is not None:
-        rows = np.concatenate((rows, 2.0 * upper))
     g = None
     if grad:
         # each unordered pair appears twice in the ordered sum
@@ -128,22 +122,28 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
 
 
 def _riesz_kernel(s: float):
-    # r^-s (-log r at s=0) and its gradient weight, as functions of r^2,
-    # written over the r2 strip; a weight that needs r2 is taken first
-    def kernel(r2, grad):
+    # r^-s (-log r at s=0) over r2, its weight into w unless None (first if it needs r2)
+    def kernel(r2, w):
         if s == -1.0:
-            k = np.sqrt(r2, out=r2)
-            return k, (1.0 / k if grad else None)
-        if s == 1.0:
-            k = np.reciprocal(np.sqrt(r2, out=r2), out=r2)
-            return k, (-k * k * k if grad else None)
-        if s == 0.0:
-            w = -1.0 / r2 if grad else None
-            k = np.log(r2, out=r2)
-            k *= -0.5
-            return k, w
-        w = -s * np.power(r2, -0.5 * s - 1.0) if grad else None
-        return np.power(r2, -0.5 * s, out=r2), w
+            np.sqrt(r2, out=r2)
+            if w is not None:
+                np.divide(1.0, r2, out=w)
+        elif s == 1.0:
+            np.reciprocal(np.sqrt(r2, out=r2), out=r2)
+            if w is not None:
+                np.negative(r2, out=w)
+                w *= r2
+                w *= r2
+        elif s == 0.0:
+            if w is not None:
+                np.divide(-1.0, r2, out=w)
+            np.log(r2, out=r2)
+            r2 *= -0.5
+        else:
+            if w is not None:
+                np.power(r2, -0.5 * s - 1.0, out=w)
+                w *= -s
+            np.power(r2, -0.5 * s, out=r2)
 
     return kernel
 

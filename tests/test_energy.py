@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rieszcap.energy as energy_mod
-from rieszcap.discrepancy import cui_freeden
+from rieszcap.discrepancy import _cui_freeden_kernel, cui_freeden
 from rieszcap.energy import (
     COINCIDENCE_TOL,
     ball_sphere_ratio,
@@ -30,7 +30,7 @@ from rieszcap.errors import (
     PoleError,
     UnsupportedDimension,
 )
-from rieszcap.pointsets import PointSet, random_uniform, roots_of_unity
+from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
 
 mp.mp.dps = 30
 
@@ -118,9 +118,13 @@ def test_roots_of_unity_closed_form():
 
 
 def test_roots_of_unity_closed_form_large_n():
-    n = 10_000  # exercises the blocked row path
-    got = riesz_energy(roots_of_unity(n), -1.0)
-    assert got == pytest.approx(_exact_circle_energy(n), rel=1e-10)
+    # S^1 is the densest close-pair input (about 130 neighbours within
+    # r < 0.1 per point at N = 4096), walked in many strips; the sum stays
+    # within 2 ulps of 2N cot(pi/(2N))
+    for n in (4096, 10_000):
+        want = float(2 * n * mp.cot(mp.pi / (2 * n)))
+        got = riesz_energy(roots_of_unity(n), -1.0)
+        assert abs(got - want) <= 2.0 * math.ulp(want), n
 
 
 def test_ordered_equals_twice_unordered():
@@ -200,6 +204,77 @@ def test_multi_block_coincident_and_close_pairs(monkeypatch):
     r = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
     assert r.min() < 2e-6
     assert riesz_energy(PointSet(2, pts), 1.0) == pytest.approx(2.0 * math.fsum(1.0 / r), rel=1e-13)
+
+
+def _clusters_then_spread() -> np.ndarray:
+    # 3 clusters of 40 points (many pairs under _NEAR_R2), then 100
+    # Fibonacci points, none of them closer than r = 0.1 to each other
+    return np.vstack((_clustered(3, 40, 0.02, 7).points, fibonacci_sphere(100).points))
+
+
+def _strips_with_close_pairs(pts: np.ndarray, height: int) -> list:
+    # for each row strip [lo, lo + height): does it meet a pair under _NEAR_R2?
+    diff = pts[:, None, :] - pts[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(r2, np.inf)
+    return [bool((r2[lo : lo + height, lo:] < energy_mod._NEAR_R2).any())
+            for lo in range(0, len(pts), height)]
+
+
+def test_reused_strip_buffers_match_long_double(monkeypatch):
+    # Eight strips of 30 rows (the last one 10) and widths 220, 190, ..., 10
+    # share one buffer; the four cluster strips repair close pairs in it and
+    # the four Fibonacci strips do not
+    pts = _clusters_then_spread()
+    monkeypatch.setattr(energy_mod, "_BLOCK", 30 * len(pts))
+    assert _strips_with_close_pairs(pts, 30) == [True] * 4 + [False] * 4
+    X = PointSet(2, pts)
+    for s, want in _long_double_energies(pts).items():
+        got = riesz_energy(X, s)
+        assert abs(float((np.longdouble(got) - want) / want)) <= 2e-16, s
+    for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        want = _long_double_gradient(pts, s)
+        err = float(np.max(np.abs(riesz_gradient(X, s) - want)))
+        assert err <= 5e-13 * float(np.max(np.abs(want))), s
+
+
+def test_coincident_pair_first_met_in_a_later_strip(monkeypatch):
+    # points 185 and 200 coincide; their pair is first met in the strip from
+    # row 180, after four strips have repaired close pairs in the buffer
+    pts = _clusters_then_spread()
+    pts[200] = pts[185]
+    monkeypatch.setattr(energy_mod, "_BLOCK", 30 * len(pts))
+    dup = PointSet(2, pts)
+    for s in (0.0, 0.5, 1.0, 2.0):
+        with pytest.raises(CoincidentPointsError):
+            riesz_energy(dup, s)
+    for s in (-1.0, -0.5):
+        with pytest.raises(CoincidentPointsError):
+            riesz_gradient(dup, s)
+    assert math.isfinite(riesz_energy(dup, -1.0))
+
+
+_R2 = np.array([[0.25, 1.0, 2.0], [3.5, 0.01, 4.0]])
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 0.5])
+def test_riesz_kernel_writes_k_over_r2_and_w_into_buffer(s):
+    r = np.sqrt(_R2)
+    want_k = -np.log(r) if s == 0.0 else r**-s
+    want_w = -1.0 / _R2 if s == 0.0 else -s * r ** (-s - 2.0)
+    k, w = _R2.copy(), np.full_like(_R2, np.nan)
+    energy_mod._riesz_kernel(s)(k, w)
+    np.testing.assert_allclose(k, want_k, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(w, want_w, rtol=1e-15, atol=0.0)
+    k_only = _R2.copy()
+    energy_mod._riesz_kernel(s)(k_only, None)  # an energy-only walk
+    assert np.array_equal(k_only, k)
+
+
+def test_cui_freeden_kernel_writes_k_over_r2():
+    k = _R2.copy()
+    _cui_freeden_kernel(k, None)
+    np.testing.assert_allclose(k, 2.0 * np.log1p(np.sqrt(_R2) / 2.0), rtol=1e-15, atol=0.0)
 
 
 def test_rotation_invariance():
