@@ -2,8 +2,8 @@
 roots of unity, the matching L2 discrepancy prediction, and log-log power-law
 fits for empirical sequences.
 
-The A_d constant exists in closed form only for d in {1, 2}; everything here
-treats d >= 3 as out of scope rather than guessing.
+C_{s,d} and A_d exist in closed form only for the d of _CLOSED_FORMS;
+everything here treats the others as out of scope rather than guessing.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ball_sphere_ratio, conjectured_C, continuous_energy
+from .energy import ball_sphere_ratio, continuous_energy
 from .errors import DegenerateFit, DomainError, PoleError, UnsupportedDimension, _require_int
 from .special_functions import (
+    _require_finite,
     bernoulli_table,
+    hex_lattice_zeta,
     riemann_zeta,
     sinc_power_coeffs,
     sphere_surface_area,
@@ -24,16 +26,29 @@ from .special_functions import (
 
 EXPANSION_MAX_ORDER = 16
 
-
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    d: int
-    constant: float  # A_d
-    exponent: float  # -1/2 - 1/(2d), exact
-    terms: list | None = None  # (coefficient, exponent) refinements of D^2, d=1
-
-    def leading(self, n: int) -> float:
-        return self.constant * float(n) ** self.exponent
+# d -> C_{s,d} as a function of s (continued; its zeta raises PoleError at s = d),
+# the status of C_{-1,d} and A_d, and for `constants` the formulas of the A,
+# V_{-1}, ratio and C rows of this d and the role of its C row.
+_CLOSED_FORMS = {
+    1: {
+        "C": lambda s: 2.0 * riemann_zeta(s),
+        "status": "closed-form",
+        "A": "sqrt(ratio(1) * (1/6) * (2 pi)) = 1/sqrt(3)",
+        "v_minus1": "4/pi",
+        "ratio": "1/pi",
+        "c_minus1": "2 zeta(-1) = -1/6",
+        "c_role": "C_{-1,1} in BHS notation; the second-order energy coefficient on S^1 is C_{-1,1} |S^1| = -pi/3",
+    },
+    2: {
+        "C": lambda s: (math.sqrt(3.0) / 2.0) ** (s / 2.0) * hex_lattice_zeta(s),
+        "status": "conjectured",
+        "A": "sqrt(ratio(2) * (-C(-1,2)) * sqrt(4 pi))",
+        "v_minus1": "4/3",
+        "ratio": "1/4",
+        "c_minus1": "(sqrt(3)/2)^(-1/2) * zeta_hex(-1)",
+        "c_role": "C_{-1,2} in BHS notation; the second-order energy coefficient on S^2 is C_{-1,2} |S^2|^(1/2) = C_{-1,2} sqrt(4 pi)",
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -44,26 +59,21 @@ class FitResult:
     points_used: int
 
 
+def conjectured_C(d: int, s: float) -> float:
+    """C_{s,d} of the conjectured second-order energy term
+    C_{s,d} |S^d|^(-s/d) N^(1+s/d) (Brauchart-Hardin-Saff notation; the
+    coefficient of N^(1+s/d) itself carries the |S^d|^(-s/d) factor), for
+    the d of _CLOSED_FORMS: 2 zeta(s) and (sqrt3/2)^(s/2) zeta_hex(s)."""
+    d = _require_int("d", d, 1)
+    if d not in _CLOSED_FORMS:
+        raise UnsupportedDimension(f"no conjectured C for d={d}")
+    return _CLOSED_FORMS[d]["C"](_require_finite("s", s))
+
+
 def conjectured_A(d: int) -> float:
-    """A_d = sqrt(ratio(d) * (-C_{-1,d}) * surface(S^d)^(1/d)), d in {1, 2}."""
-    if d not in (1, 2):
-        raise UnsupportedDimension(
-            f"A_d requires the closed-form C(-1,d), known only for d in {{1,2}}; got d={d}"
-        )
+    """A_d = sqrt(ratio(d) * (-C_{-1,d}) * surface(S^d)^(1/d)) where C_{-1,d} is known."""
     c = conjectured_C(d, -1.0)
     return math.sqrt(ball_sphere_ratio(d) * (-c) * sphere_surface_area(d) ** (1.0 / d))
-
-
-def asymptotic_prediction(d: int, p: int = 2) -> AsymptoticPrediction:
-    """Bundle A_d with the exact decay exponent; for d=1 attach the D^2
-    refinement terms (coefficient, exponent) up to order p."""
-    constant = conjectured_A(d)
-    exponent = -0.5 - 0.5 / d
-    terms = None
-    if d == 1:
-        terms = [(1.0 / 3.0, -2.0)]
-        terms += [(_l2_term_coeff(n), -2.0 - 2.0 * n) for n in range(1, p + 1)]
-    return AsymptoticPrediction(d=d, constant=constant, exponent=exponent, terms=terms)
 
 
 def roots_of_unity_energy_expansion(s: float, N: int, p: int) -> float:

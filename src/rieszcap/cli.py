@@ -19,7 +19,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    _CLOSED_FORMS,
     conjectured_A,
+    conjectured_C,
     power_law_fit,
     predicted_l2_roots_of_unity,
 )
@@ -34,7 +36,6 @@ from .discrepancy import (
 )
 from .energy import (
     ball_sphere_ratio,
-    conjectured_C,
     continuous_energy,
     energy_report,
 )
@@ -261,62 +262,24 @@ def _cmd_optimize(params: dict, args) -> dict:
 # -------------------------------------------------------------- constants
 
 def _constant_registry() -> dict:
-    return {
-        "A1": {
-            "value": conjectured_A(1),
-            "status": "closed-form",
-            "formula": "sqrt(ratio(1) * (1/6) * (2 pi)) = 1/sqrt(3)",
-            "role": "leading constant of D_L2 decay on S^1",
-        },
-        "A2": {
-            "value": conjectured_A(2),
-            "status": "conjectured",
-            "formula": "sqrt(ratio(2) * (-C(-1,2)) * sqrt(4 pi))",
-            "role": "leading constant of D_L2 decay on S^2",
-        },
-        "v_minus1_s1": {
-            "value": continuous_energy(1, -1.0),
-            "status": "closed-form",
-            "formula": "4/pi",
-            "role": "mean pairwise distance of the uniform measure on S^1",
-        },
-        "v_minus1_s2": {
-            "value": continuous_energy(2, -1.0),
-            "status": "closed-form",
-            "formula": "4/3",
-            "role": "mean pairwise distance of the uniform measure on S^2",
-        },
-        "v_minus1_s3": {
-            "value": continuous_energy(3, -1.0),
-            "status": "closed-form",
-            "formula": "gamma-ratio continuation at (d,s)=(3,-1)",
-            "role": "mean pairwise distance of the uniform measure on S^3",
-        },
-        "ratio_s1": {
-            "value": ball_sphere_ratio(1),
-            "status": "closed-form",
-            "formula": "1/pi",
-            "role": "identity factor between D_L2^2 and the distance deficit, d=1",
-        },
-        "ratio_s2": {
-            "value": ball_sphere_ratio(2),
-            "status": "closed-form",
-            "formula": "1/4",
-            "role": "identity factor between D_L2^2 and the distance deficit, d=2",
-        },
-        "c_minus1_s1": {
-            "value": conjectured_C(1, -1.0),
-            "status": "closed-form",
-            "formula": "2 zeta(-1) = -1/6",
-            "role": "C_{-1,1} in BHS notation; the second-order energy coefficient on S^1 is C_{-1,1} |S^1| = -pi/3",
-        },
-        "c_minus1_s2": {
-            "value": conjectured_C(2, -1.0),
-            "status": "conjectured",
-            "formula": "(sqrt(3)/2)^(-1/2) * zeta_hex(-1)",
-            "role": "C_{-1,2} in BHS notation; the second-order energy coefficient on S^2 is C_{-1,2} |S^2|^(1/2) = C_{-1,2} sqrt(4 pi)",
-        },
-    }
+    """name -> value, status, formula and role: A_d, V_{-1}(S^d), ratio(d) and
+    C_{-1,d} for each d of the closed-form table, and V_{-1}(S^3)."""
+    def row(value, status, formula, role):
+        return {"value": value, "status": status, "formula": formula, "role": role}
+
+    rows = {}
+    for d, form in _CLOSED_FORMS.items():
+        rows[f"A{d}"] = row(conjectured_A(d), form["status"], form["A"], f"leading constant of D_L2 decay on S^{d}")
+    for d in (*_CLOSED_FORMS, 3):
+        formula = _CLOSED_FORMS.get(d, {}).get("v_minus1", f"gamma-ratio continuation at (d,s)=({d},-1)")
+        role = f"mean pairwise distance of the uniform measure on S^{d}"
+        rows[f"v_minus1_s{d}"] = row(continuous_energy(d, -1.0), "closed-form", formula, role)
+    for d, form in _CLOSED_FORMS.items():
+        role = f"identity factor between D_L2^2 and the distance deficit, d={d}"
+        rows[f"ratio_s{d}"] = row(ball_sphere_ratio(d), "closed-form", form["ratio"], role)
+    for d, form in _CLOSED_FORMS.items():
+        rows[f"c_minus1_s{d}"] = row(conjectured_C(d, -1.0), form["status"], form["c_minus1"], form["c_role"])
+    return rows
 
 
 def _cmd_constants(params: dict, args) -> dict | list:
@@ -409,15 +372,16 @@ def _suite_stolarsky(d: int, n: int, seed: int) -> dict:
 
 
 def _suite_constants() -> dict:
-    checks = [
-        ("v_minus1_s2", continuous_energy(2, -1.0), 4.0 / 3.0, 1e-12),
-        ("v_minus1_s1", continuous_energy(1, -1.0), 4.0 / math.pi, 1e-12),
-        ("ratio_s2", ball_sphere_ratio(2), 0.25, 1e-12),
-        ("A2", conjectured_A(2), A2_DIGITS, 1e-11),
+    value = {name: row["value"] for name, row in _constant_registry().items()}
+    checks = [  # name, independent reference, tolerance
+        ("v_minus1_s2", 4.0 / 3.0, 1e-12),
+        ("v_minus1_s1", 4.0 / math.pi, 1e-12),
+        ("ratio_s2", 0.25, 1e-12),
+        ("A2", A2_DIGITS, 1e-11),
     ]
     rows = [
-        {"name": name, "value": value, "reference": ref, "abs_error": abs(value - ref), "tolerance": tol}
-        for name, value, ref, tol in checks
+        {"name": name, "value": value[name], "reference": ref, "abs_error": abs(value[name] - ref), "tolerance": tol}
+        for name, ref, tol in checks
     ]
     return {
         "suite": "constants",

@@ -7,7 +7,7 @@ Six report kinds:
                 per center)
   CuiFreeden    generalized discrepancy with the 2 log(1 + r/2) kernel (S^2)
   SumDistance   sqrt(4/3 - mean distance) generalized discrepancy (S^2)
-  CapSupLower   sampled lower bound on the sup-cap discrepancy
+  CapSupLower   sampled lower bound on the sup-cap discrepancy, every d
   LeVeque       harmonic-sum lower/upper functionals (S^2)
 
 Monte-Carlo center draws use a single sequential stream per seed, so the
@@ -393,9 +393,8 @@ def _cap_sup_given_centers(X: PointSet, centers: np.ndarray) -> float:
 def cap_sup_discrepancy_lower(X: PointSet, centers: int, seed) -> DiscrepancyReport:
     """Lower bound on the sup-cap discrepancy: max deviation |count/N - sigma|
     over sampled centers, evaluated on both sides of every jump threshold.
-    Monotone nondecreasing in `centers` for a fixed seed (nested stream)."""
-    if X.d not in (1, 2):
-        raise DimensionError(f"cap-sup estimator supports d in {{1,2}}, got d={X.d}")
+    Monotone nondecreasing in `centers` for a fixed seed (nested stream);
+    sigma_d is exact for every d."""
     C = sample_centers(X.d, centers, seed)
     value = _cap_sup_given_centers(X, C)
     return DiscrepancyReport(

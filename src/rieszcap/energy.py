@@ -32,7 +32,6 @@ from .errors import (
     CoincidentPointsError,
     DomainError,
     PoleError,
-    UnsupportedDimension,
     _require_int,
 )
 from .pointsets import PointSet
@@ -42,8 +41,6 @@ from .special_functions import (
     _log_abs_gamma,
     _log_gamma_ratio,
     _require_finite,
-    hex_lattice_zeta,
-    riemann_zeta,
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
@@ -230,27 +227,6 @@ def ball_sphere_ratio(d: int) -> float:
     if d < _HALF_GAMMA_MAX:
         return _half_gamma_quotient(1, d, -1, (d + 1,), (d,))
     return math.exp(_log_gamma_ratio((d + 1) / 2.0, d / 2.0)[0]) / (d * math.sqrt(math.pi))
-
-
-def conjectured_C(d: int, s: float) -> float:
-    """C_{s,d} of the conjectured second-order energy term
-    C_{s,d} |S^d|^(-s/d) N^(1+s/d) (Brauchart-Hardin-Saff notation; the
-    coefficient of N^(1+s/d) itself carries the |S^d|^(-s/d) factor).
-
-    d=1: 2 zeta(s) (pole at s=1); d=2: (sqrt3/2)^(s/2) zeta_hex(s) (pole at
-    s=2), continued below the abscissa.  No closed form is known elsewhere.
-    """
-    d = _require_int("d", d, 1)
-    s = _require_finite("s", s)
-    if d == 1:
-        if s == 1.0:
-            raise PoleError("C_{s,1} pole at s=1")
-        return 2.0 * riemann_zeta(s)
-    if d == 2:
-        if s == 2.0:
-            raise PoleError("C_{s,2} pole at s=2")
-        return (math.sqrt(3.0) / 2.0) ** (s / 2.0) * hex_lattice_zeta(s)
-    raise UnsupportedDimension(f"no conjectured C for d={d}")
 
 
 # ----------------------------------------------------------------------------

@@ -4,9 +4,7 @@ import mpmath as mp
 import pytest
 
 from rieszcap.asymptotics import (
-    AsymptoticPrediction,
     FitResult,
-    asymptotic_prediction,
     conjectured_A,
     power_law_fit,
     predicted_l2_roots_of_unity,
@@ -69,30 +67,14 @@ def test_a1_closed_form():
 def test_a_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         conjectured_A(3)
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(DomainError):
         conjectured_A(0)
-
-
-def test_prediction_exponent_exact():
-    assert asymptotic_prediction(2).exponent == -0.75
-    assert asymptotic_prediction(1).exponent == -1.0
-
-
-def test_prediction_terms_d1():
-    pred = asymptotic_prediction(1, p=2)
-    assert pred.terms[0] == (1.0 / 3.0, -2.0)
-    coeff, expo = pred.terms[1]
-    assert coeff == pytest.approx(math.pi**2 / 180.0, abs=1e-15)
-    assert expo == -4.0
-    assert len(pred.terms) == 3
-    assert asymptotic_prediction(2).terms is None
 
 
 def test_prediction_leading_matches_roots():
     # leading-order D ~ A_1 / N against the measured circle discrepancy
-    pred = asymptotic_prediction(1)
     measured = l2_cap_discrepancy(roots_of_unity(512)).value
-    assert pred.leading(512) == pytest.approx(measured, rel=1e-4)
+    assert conjectured_A(1) / 512 == pytest.approx(measured, rel=1e-4)
 
 
 # ------------------------------------------------------- energy expansion

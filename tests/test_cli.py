@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from rieszcap import discrepancy
+from rieszcap.asymptotics import conjectured_A, conjectured_C
 from rieszcap.cli import main
 from rieszcap.discrepancy import l2_cap_discrepancy
-from rieszcap.energy import riesz_energy
+from rieszcap.energy import ball_sphere_ratio, continuous_energy, riesz_energy
 from rieszcap.pointsets import loads_pointset, read_pointset, roots_of_unity
 
 
@@ -238,6 +239,41 @@ def test_constants_list_all(monkeypatch, capsys):
     assert code == 0
     names = {row["name"] for row in envelope(out)["result"]}
     assert {"A1", "A2", "v_minus1_s2", "ratio_s2"} <= names
+
+
+def test_constants_listing_pinned(monkeypatch, capsys):
+    # every row in order, and each value bitwise the function behind it
+    want = [
+        ("A1", conjectured_A(1), "closed-form", "sqrt(ratio(1) * (1/6) * (2 pi)) = 1/sqrt(3)",
+         "leading constant of D_L2 decay on S^1"),
+        ("A2", conjectured_A(2), "conjectured", "sqrt(ratio(2) * (-C(-1,2)) * sqrt(4 pi))",
+         "leading constant of D_L2 decay on S^2"),
+        ("v_minus1_s1", continuous_energy(1, -1.0), "closed-form", "4/pi",
+         "mean pairwise distance of the uniform measure on S^1"),
+        ("v_minus1_s2", continuous_energy(2, -1.0), "closed-form", "4/3",
+         "mean pairwise distance of the uniform measure on S^2"),
+        ("v_minus1_s3", continuous_energy(3, -1.0), "closed-form",
+         "gamma-ratio continuation at (d,s)=(3,-1)",
+         "mean pairwise distance of the uniform measure on S^3"),
+        ("ratio_s1", ball_sphere_ratio(1), "closed-form", "1/pi",
+         "identity factor between D_L2^2 and the distance deficit, d=1"),
+        ("ratio_s2", ball_sphere_ratio(2), "closed-form", "1/4",
+         "identity factor between D_L2^2 and the distance deficit, d=2"),
+        ("c_minus1_s1", conjectured_C(1, -1.0), "closed-form", "2 zeta(-1) = -1/6",
+         "C_{-1,1} in BHS notation; the second-order energy coefficient on S^1 is "
+         "C_{-1,1} |S^1| = -pi/3"),
+        ("c_minus1_s2", conjectured_C(2, -1.0), "conjectured", "(sqrt(3)/2)^(-1/2) * zeta_hex(-1)",
+         "C_{-1,2} in BHS notation; the second-order energy coefficient on S^2 is "
+         "C_{-1,2} |S^2|^(1/2) = C_{-1,2} sqrt(4 pi)"),
+    ]
+    code, out, _ = run_cli(["constants"], None, monkeypatch, capsys)
+    assert code == 0
+    rows = envelope(out)["result"]
+    assert [tuple(row.values()) for row in rows] == want
+    assert all(list(row) == ["name", "value", "status", "formula", "role"] for row in rows)
+    for row, (name, *_) in zip(rows, want):
+        code, out, _ = run_cli(["constants", "--name", name], None, monkeypatch, capsys)
+        assert code == 0 and envelope(out)["result"] == row
 
 
 def test_constants_unknown_name(monkeypatch, capsys):

@@ -602,10 +602,20 @@ def test_center_estimators_memory_bounded(estimator, limit):
     assert peak <= limit
 
 
-def test_cap_sup_dimension_guard():
-    X = random_uniform(3, 5, seed=0)
-    with pytest.raises(DimensionError):
-        cap_sup_discrepancy_lower(X, 10, 0)
+def test_cap_sup_higher_dimensions():
+    # per center int (F - sigma)^2 dt <= 2 sup |F - sigma|^2 over t in [-1, 1],
+    # so the direct D^2 over the same centers is at most twice the bound squared
+    for d in (3, 4, 7):
+        X = random_uniform(d, 200, seed=d)
+        value = cap_sup_discrepancy_lower(X, 256, 5).value
+        assert 0.0 < value < 1.0
+        assert l2_cap_discrepancy_direct(X, 256, 5).diagnostics["d_squared"] <= 2.0 * value**2
+        # one point: the sup over a center c is max(sigma(u), 1 - sigma(u)) at
+        # u = <c, x>, and sigma(u) is uniform over random c, so it tends to 1
+        u = sample_centers(d, 256, 1) @ _single(d).points[0]
+        want = max(max(sigma_cap(d, t), 1.0 - sigma_cap(d, t)) for t in u)
+        rep = cap_sup_discrepancy_lower(_single(d), 256, 1)
+        assert rep.value == pytest.approx(want, abs=1e-15) and rep.value > 0.99
 
 
 # ---------------------------------------------------------------- report

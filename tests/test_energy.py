@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import rieszcap.energy as energy_mod
+from rieszcap.asymptotics import conjectured_C
 from rieszcap.discrepancy import _cui_freeden_kernel, cui_freeden
 from rieszcap.energy import (
     COINCIDENCE_TOL,
     ball_sphere_ratio,
-    conjectured_C,
     continuous_energy,
     energy_report,
     riesz_energy,

@@ -5,13 +5,14 @@ values above a guard fail alike, and numpy integers pass."""
 import numpy as np
 import pytest
 
-from rieszcap.asymptotics import predicted_l2_roots_of_unity, roots_of_unity_energy_expansion
-from rieszcap.discrepancy import sample_centers, sigma_cap, weyl_sums
-from rieszcap.energy import (
-    ball_sphere_ratio,
+from rieszcap.asymptotics import (
+    conjectured_A,
     conjectured_C,
-    continuous_energy,
+    predicted_l2_roots_of_unity,
+    roots_of_unity_energy_expansion,
 )
+from rieszcap.discrepancy import sample_centers, sigma_cap, weyl_sums
+from rieszcap.energy import ball_sphere_ratio, continuous_energy
 from rieszcap.errors import DomainError, RangeError
 from rieszcap.optimizer import OptimizerConfig, optimize
 from rieszcap.pointsets import (
@@ -36,6 +37,7 @@ INTEGER_PARAMETERS = {
     "continuous_energy.d": (lambda v: continuous_energy(v, -1.0), 1, None),
     "ball_sphere_ratio.d": (lambda v: ball_sphere_ratio(v), 1, None),
     "conjectured_C.d": (lambda v: conjectured_C(v, -1.0), 1, None),
+    "conjectured_A.d": (lambda v: conjectured_A(v), 1, None),
     "roots_of_unity.n": (lambda v: roots_of_unity(v), 1, None),
     "random_uniform.d": (lambda v: random_uniform(v, 5, 0), 1, None),
     "random_uniform.n": (lambda v: random_uniform(2, v, 0), 1, None),
