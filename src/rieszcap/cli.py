@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .pointsets import (
     lambert_lift,
     loads_pointset,
     random_uniform,
-    read_pointset,
     roots_of_unity,
     write_pointset,
 )
@@ -108,8 +108,21 @@ def _envelope(command: str, params: dict, seed, result, t0: float) -> str:
     return json.dumps(blob, indent=2, default=_json_default)
 
 
+def _read_text(path: str | None) -> str:
+    """The --in file, or stdin without one."""
+    if not path:
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _read_points(path: str | None) -> PointSet:
-    return read_pointset(path) if path else loads_pointset(sys.stdin.read())
+    return loads_pointset(_read_text(path))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text with every value written by repr, so floats round-trip."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _config_value(command: str, key: str, kind, value):
@@ -157,7 +170,7 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
             raise ValidationError(f"'{command}' requires --{key.replace('_', '-')}")
     for key, (kind, _, _) in spec.items():
         if isinstance(kind, dict):  # a kind table
-            unused = {p for _, takes in kind.values() for p in takes} - set(kind[params[key]][1])
+            unused = {p for _, takes, *_ in kind.values() for p in takes} - set(kind[params[key]][1])
             if unused & given:
                 flag = min(unused & given).replace("_", "-")
                 raise ValidationError(f"--{flag} does not apply to --{key} {params[key]}")
@@ -167,36 +180,33 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 
 # Handlers take the resolved, typed params and return the result for main to
 # wrap in the JSON envelope, or None when they wrote their own output.  Kind
-# tables: kind -> (the function it calls, the parameters only it takes, in order).
+# tables: kind -> (the function it calls, the parameters only it takes, in
+# order, and for gen the one d the kind generates on).
 
 # ------------------------------------------------------------------- gen
 
-# _cmd_gen builds each kind's point set itself, so this table names no function
+def _hammersley_sphere(n: int) -> PointSet:
+    m = n.bit_length() - 1
+    if n < 1 or 2**m != n:
+        raise ValidationError(f"hammersley-sphere needs --n a power of two, got {n}")
+    return lambert_lift(hammersley_square(m))
+
+
 _GEN_KINDS = {
-    "roots-of-unity": (None, ()), "random": (None, ("seed",)),
-    "fibonacci": (None, ()), "hammersley-sphere": (None, ()),
+    "roots-of-unity": (roots_of_unity, (), 1),
+    "random": (random_uniform, ("seed",), None),
+    "fibonacci": (fibonacci_sphere, (), 2),
+    "hammersley-sphere": (_hammersley_sphere, (), 2),
 }
 
 
 def _cmd_gen(params: dict, args) -> None:
-    kind, d, n = params["kind"], params["d"], params["n"]
-    if kind == "roots-of-unity":
-        if d not in (None, 1):
-            raise ValidationError("roots-of-unity generates on the circle; --d must be 1")
-        ps = roots_of_unity(n)
-    elif kind == "random":
-        ps = random_uniform(2 if d is None else d, n, seed=params["seed"])
-    elif kind == "fibonacci":
-        if d not in (None, 2):
-            raise ValidationError("fibonacci spiral generates on S^2; --d must be 2")
-        ps = fibonacci_sphere(n)
-    else:  # hammersley-sphere
-        if d not in (None, 2):
-            raise ValidationError("hammersley-sphere generates on S^2; --d must be 2")
-        m = n.bit_length() - 1
-        if n < 1 or 2**m != n:
-            raise ValidationError(f"hammersley-sphere needs --n a power of two, got {n}")
-        ps = lambert_lift(hammersley_square(m))
+    kind, d = params["kind"], params["d"]
+    func, takes, on = _GEN_KINDS[kind]
+    if on is not None and d not in (None, on):
+        raise ValidationError(f"{kind} generates on S^{on}; --d must be {on}")
+    lead = () if on else (2 if d is None else d,)  # random draws on any S^d, S^2 by default
+    ps = func(*lead, params["n"], *(params[p] for p in takes))
     if args.out:
         write_pointset(ps, args.out, format=params["format"])
     else:
@@ -237,25 +247,12 @@ def _cmd_disc(params: dict, args) -> dict:
 
 def _cmd_optimize(params: dict, args) -> dict:
     X0 = _read_points(args.infile)
-    cfg = OptimizerConfig(
-        s=params["s"],
-        max_iters=params["max_iters"],
-        grad_tol=params["grad_tol"],
-        restarts=params["restarts"],
-        seed=params["seed"],
-        step_init=params["step_init"],
-    )
+    cfg = OptimizerConfig(**params)
     res = optimize(X0, cfg, keep_trace=args.trace_out is not None, threads=args.threads)
     if args.points_out:
         write_pointset(res.best, args.points_out)
     if args.trace_out:
-        lines = ["iter,objective,grad_norm,step"]
-        lines += [
-            f"{it},{float(obj)!r},{float(gn)!r},{float(st)!r}"
-            for it, obj, gn, st in res.trace
-        ]
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit(_csv("iter,objective,grad_norm,step", res.trace), args.trace_out)
     return res.to_json()
 
 
@@ -308,22 +305,15 @@ def _cmd_predict(params: dict, args) -> list | None:
         rows.append({"N": n, "predicted_dsq": predicted, "measured_dsq": float(measured)})
     if params["format"] == "json":
         return rows
-    lines = ["N,predicted_dsq,measured_dsq"]
-    lines += [f"{r['N']},{r['predicted_dsq']!r},{r['measured_dsq']!r}" for r in rows]
-    _emit("\n".join(lines), args.out)
+    _emit(_csv("N,predicted_dsq,measured_dsq", [r.values() for r in rows]), args.out)
     return None
 
 
 # -------------------------------------------------------------------- fit
 
 def _cmd_fit(params: dict, args) -> dict:
-    if args.infile:
-        with open(args.infile, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
     samples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(args.infile).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -336,13 +326,7 @@ def _cmd_fit(params: dict, args) -> dict:
             if lineno == 1:  # header row
                 continue
             raise ParseError(f"non-numeric row {raw!r}", line=lineno) from None
-    fit = power_law_fit(samples)
-    return {
-        "slope": fit.slope,
-        "intercept_constant": fit.intercept_constant,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
+    return asdict(power_law_fit(samples))
 
 
 # ----------------------------------------------------------------- verify
@@ -469,13 +453,10 @@ _SPEC = {
         "seed": (int, 0, None),
         "degree": (int, 64, "harmonic degree cutoff L"),
     },
+    # OptimizerConfig's fields, in order; s, the one without a default, is a float
     "optimize": {
-        "s": (float, REQUIRED, None),
-        "restarts": (int, 1, None),
-        "seed": (int, 0, None),
-        "max_iters": (int, 2000, None),
-        "grad_tol": (float, 1e-9, None),
-        "step_init": (float, 0.1, None),
+        f.name: (float, REQUIRED, None) if f.default is MISSING else (type(f.default), f.default, None)
+        for f in fields(OptimizerConfig)
     },
     "constants": {"name": (str, None, None)},
     "predict": {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class DiscrepancyReport:
     diagnostics: dict
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "value": self.value, "diagnostics": dict(self.diagnostics)}
+        return asdict(self)
 
 
 def _sqrt_clamped(arg: float, what: str) -> float:
@@ -194,7 +194,7 @@ def l2_cap_discrepancy_direct(X: PointSet, centers: int, seed) -> DiscrepancyRep
     per = _direct_dsq_per_center(X, C)
     dsq = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(centers)) if centers > 1 else None
-    value = _sqrt_clamped(max(dsq, 0.0), "L2CapDirect")
+    value = _sqrt_clamped(dsq, "L2CapDirect")
     return DiscrepancyReport(
         kind="L2CapDirect",
         value=value,

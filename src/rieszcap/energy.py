@@ -24,7 +24,7 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -242,11 +242,8 @@ class EnergyReport:
     residual_normalized: float | None
 
     def to_json(self) -> dict:
-        out = {"s": self.s, "d": self.d, "N": self.N, "energy": self.energy}
-        if self.continuous_prediction is not None:
-            out["continuous_prediction"] = self.continuous_prediction
-            out["residual_normalized"] = self.residual_normalized
-        return out
+        """The fields that are set: the prediction pair only on its window."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def energy_report(X: PointSet, s: float) -> EnergyReport:

@@ -26,7 +26,8 @@ only says the tangential gradient dropped below `grad_tol`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,13 +42,13 @@ _ARMIJO_C = 1e-4
 _ZH_ETA = 0.95  # weight of the past in the Zhang-Hager reference C_k
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+@dataclass(frozen=True, kw_only=True)
+class OptimizerConfig:  # also the optimize command's flags, defaults and their order
     s: float
-    max_iters: int = 2000
-    grad_tol: float = 1e-9
     restarts: int = 1
     seed: int = 0
+    max_iters: int = 2000
+    grad_tol: float = 1e-9
     step_init: float = 0.1
 
     def __post_init__(self):
@@ -81,20 +82,9 @@ class OptimizerResult:
     trace: list | None = None  # (iter, objective, grad_norm, step) rows
 
     def to_json(self) -> dict:
-        return {
-            "energy": self.energy,
-            "grad_norm": self.grad_norm,
-            "iterations": self.iterations,
-            "restarts_used": self.restarts_used,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "restart_energies": list(self.restart_energies),
-            "restart_stop_reasons": list(self.restart_stop_reasons),
-            "restart_grad_norms": list(self.restart_grad_norms),
-            "restart_evaluations": list(self.restart_evaluations),
-            "n": self.best.n,
-            "d": self.best.d,
-        }
+        """Every field but `best` and `trace`, lists copied, then n and d."""
+        out = {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name not in ("best", "trace")}
+        return {**out, "n": self.best.n, "d": self.best.d}
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

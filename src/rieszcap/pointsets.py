@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError, _require_int
 
 NORM_TOL = 1e-12          # type invariant on every constructed set
-INGEST_NORM_TOL = 1e-9    # looser gate for file ingestion, carried by the loaded set
+INGEST_NORM_TOL = 1e-9    # looser gate the loaders pass when they construct a set
 HAMMERSLEY_MAX_M = 24
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -28,11 +28,11 @@ class PointSet:
     """Immutable N-point configuration on the unit sphere S^d in R^(d+1).
 
     `points` is a read-only (N, d+1) float64 array; every row is unit-norm
-    within `norm_tol` (1e-12 unless a documented relaxed ingestion path
-    constructed the set).
+    within the `norm_tol` it was built with (NORM_TOL, or INGEST_NORM_TOL
+    for a loaded set); the tolerance gates construction and is not kept.
     """
 
-    __slots__ = ("d", "points", "norm_tol")
+    __slots__ = ("d", "points")
 
     def __init__(self, d: int, points, *, norm_tol: float = NORM_TOL):
         if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
@@ -59,7 +59,6 @@ class PointSet:
         arr.flags.writeable = False
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "points", arr)
-        object.__setattr__(self, "norm_tol", float(norm_tol))
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSet is immutable")
@@ -180,11 +179,9 @@ def hammersley_square(m: int) -> UnitSquareSet:
 # ----------------------------------------------------------------------------
 # serialization
 
-def dumps_pointset(ps: PointSet, format: str = "csv", header: bool = True) -> str:
+def dumps_pointset(ps: PointSet, format: str = "csv") -> str:
     if format == "csv":
-        lines = []
-        if header:
-            lines.append(f"# d={ps.d} n={ps.n}")
+        lines = [f"# d={ps.d} n={ps.n}"]
         lines.extend(",".join(map(repr, row)) for row in ps.points.tolist())
         return "\n".join(lines) + "\n"
     if format == "json":
@@ -274,22 +271,15 @@ def _load_json(text: str) -> PointSet:
     return PointSet(d, arr, norm_tol=INGEST_NORM_TOL)
 
 
-def _resolve_format(path: str, format: str) -> str:
-    if format != "auto":
-        return format
-    return "json" if os.path.splitext(path)[1].lower() == ".json" else "csv"
-
-
-def write_pointset(ps: PointSet, path: str, format: str = "auto", header: bool = True) -> None:
-    fmt = _resolve_format(path, format)
+def write_pointset(ps: PointSet, path: str, format: str = "auto") -> None:
+    """"auto" writes JSON to a path ending in .json and CSV to any other."""
+    if format == "auto":
+        format = "json" if os.path.splitext(path)[1].lower() == ".json" else "csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_pointset(ps, fmt, header=header))
+        fh.write(dumps_pointset(ps, format))
 
 
 def read_pointset(path: str, format: str = "auto") -> PointSet:
-    fmt = _resolve_format(path, format)
+    """"auto" decides from the content, as `loads_pointset` does, not the name."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "csv" and _sniff_format(text) == "json":
-        fmt = "json"  # tolerate JSON content behind a .csv-ish name
-    return loads_pointset(text, fmt)
+        return loads_pointset(fh.read(), format)

@@ -4,16 +4,27 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rieszcap import discrepancy
-from rieszcap.asymptotics import conjectured_A, conjectured_C
+from rieszcap.asymptotics import conjectured_A, conjectured_C, power_law_fit
 from rieszcap.cli import main
 from rieszcap.discrepancy import l2_cap_discrepancy
-from rieszcap.energy import ball_sphere_ratio, continuous_energy, riesz_energy
-from rieszcap.pointsets import loads_pointset, read_pointset, roots_of_unity
+from rieszcap.energy import ball_sphere_ratio, continuous_energy, energy_report, riesz_energy
+from rieszcap.optimizer import OptimizerConfig, optimize
+from rieszcap.pointsets import (
+    dumps_pointset,
+    fibonacci_sphere,
+    hammersley_square,
+    lambert_lift,
+    loads_pointset,
+    random_uniform,
+    read_pointset,
+    roots_of_unity,
+)
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -73,7 +84,25 @@ def test_gen_dimension_mismatch_rejected(monkeypatch, capsys):
         ["gen", "--kind", "roots-of-unity", "--n", "5", "--d", "2"], None, monkeypatch, capsys
     )
     assert code == 1
-    assert "circle" in err
+    assert "roots-of-unity generates on S^1; --d must be 1" in err
+
+
+_GEN_LIBRARY = {  # kind -> (extra flags, the library constructor's set)
+    "roots-of-unity": ([], lambda: roots_of_unity(8)),
+    "random": (["--d", "3", "--seed", "5"], lambda: random_uniform(3, 8, seed=5)),
+    "fibonacci": ([], lambda: fibonacci_sphere(8)),
+    "hammersley-sphere": ([], lambda: lambert_lift(hammersley_square(3))),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", list(_GEN_LIBRARY))
+def test_gen_matches_library(kind, fmt, monkeypatch, capsys):
+    flags, build = _GEN_LIBRARY[kind]
+    argv = ["gen", "--kind", kind, "--n", "8", "--format", fmt, *flags]
+    code, out, _ = run_cli(argv, None, monkeypatch, capsys)
+    assert code == 0
+    assert out == dumps_pointset(build(), fmt)
 
 
 def test_gen_requires_kind(monkeypatch, capsys):
@@ -86,8 +115,6 @@ def test_gen_requires_kind(monkeypatch, capsys):
 
 def test_energy_matches_library(monkeypatch, capsys):
     X = roots_of_unity(6)
-    from rieszcap.pointsets import dumps_pointset
-
     code, out, _ = run_cli(
         ["energy", "--s", "-1"], dumps_pointset(X), monkeypatch, capsys
     )
@@ -95,6 +122,16 @@ def test_energy_matches_library(monkeypatch, capsys):
     blob = envelope(out)
     assert blob["command"] == "energy"
     assert blob["result"]["energy"] == pytest.approx(riesz_energy(X, -1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.5, 3.0])  # inside and outside the prediction window
+def test_energy_matches_report(s, monkeypatch, capsys):
+    X = fibonacci_sphere(12)
+    code, out, _ = run_cli(["energy", "--s", repr(s)], dumps_pointset(X), monkeypatch, capsys)
+    assert code == 0
+    want = energy_report(X, s).to_json()
+    assert ("continuous_prediction" in want) == (s < X.d)
+    assert envelope(out)["result"] == want
 
 
 # ------------------------------------------------------------------ disc
@@ -114,8 +151,6 @@ _DISC_LIBRARY = {
 def test_disc_kinds_run(kind, monkeypatch, capsys):
     # each kind's envelope carries exactly the library call's result and the
     # parameters that kind took
-    from rieszcap.pointsets import dumps_pointset, fibonacci_sphere
-
     X = fibonacci_sphere(12)
     argv = ["disc", "--kind", kind]
     params = {"kind": kind}
@@ -134,8 +169,6 @@ def test_disc_kinds_run(kind, monkeypatch, capsys):
 
 
 def test_disc_l2_matches_library(monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset
-
     X = roots_of_unity(8)
     code, out, _ = run_cli(["disc", "--kind", "l2"], dumps_pointset(X), monkeypatch, capsys)
     assert code == 0
@@ -177,8 +210,6 @@ def test_disc_non_numeric_json_exits_one(row, monkeypatch, capsys):
 # -------------------------------------------------------------- optimize
 
 def test_optimize_end_to_end(tmp_path, monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset, random_uniform
-
     pts_out = tmp_path / "best.csv"
     trace_out = tmp_path / "trace.csv"
     text = dumps_pointset(random_uniform(1, 3, seed=1))
@@ -212,9 +243,21 @@ def test_optimize_end_to_end(tmp_path, monkeypatch, capsys):
     assert all(b >= a for a, b in zip(objs, objs[1:]))
 
 
-def test_optimize_threads_match_serial(monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset, random_uniform
+def test_optimize_matches_library(tmp_path, monkeypatch, capsys):
+    X0 = random_uniform(2, 6, seed=2)
+    trace_out = tmp_path / "trace.csv"
+    argv = ["optimize", "--s", "-1", "--restarts", "2", "--seed", "4", "--max-iters", "40",
+            "--trace-out", str(trace_out)]
+    code, out, _ = run_cli(argv, dumps_pointset(X0), monkeypatch, capsys)
+    assert code == 0
+    cfg = OptimizerConfig(s=-1.0, restarts=2, seed=4, max_iters=40)
+    res = optimize(X0, cfg, keep_trace=True)
+    assert envelope(out)["result"] == json.loads(json.dumps(res.to_json()))
+    rows = ["iter,objective,grad_norm,step"] + [",".join(map(repr, row)) for row in res.trace]
+    assert trace_out.read_text() == "\n".join(rows) + "\n"
 
+
+def test_optimize_threads_match_serial(monkeypatch, capsys):
     text = dumps_pointset(random_uniform(2, 6, seed=2))
     argv = ["optimize", "--s", "-1", "--restarts", "3", "--seed", "4"]
     code1, out1, _ = run_cli(argv, text, monkeypatch, capsys)
@@ -317,6 +360,15 @@ def test_fit_from_stdin(monkeypatch, capsys):
     assert result["points_used"] == 4
 
 
+def test_fit_matches_library(tmp_path, monkeypatch, capsys):
+    samples = [(10, 0.5), (20, 0.3), (40, 0.17), (80, 0.1)]
+    path = tmp_path / "samples.csv"
+    path.write_text("N,value\n" + "".join(f"{n},{v!r}\n" for n, v in samples))
+    code, out, _ = run_cli(["fit", "--in", str(path)], None, monkeypatch, capsys)
+    assert code == 0
+    assert envelope(out)["result"] == asdict(power_law_fit(samples))
+
+
 def test_fit_bad_row_reports_line(monkeypatch, capsys):
     code, _, err = run_cli(["fit"], "4,1.0\nbroken\n", monkeypatch, capsys)
     assert code == 1
@@ -394,8 +446,6 @@ def test_config_unknown_key_rejected(tmp_path, monkeypatch, capsys):
     ],
 )
 def test_config_values_checked_like_flags(command, config, tmp_path, monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset
-
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     text = dumps_pointset(roots_of_unity(3))
@@ -431,8 +481,6 @@ _OPTIMIZE_PARAMS = {
 )
 def test_envelope_params_documented(argv, config, params, tmp_path, monkeypatch, capsys):
     # the README shows these params; key order and float-typed values included
-    from rieszcap.pointsets import dumps_pointset
-
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -448,8 +496,6 @@ def test_envelope_params_documented(argv, config, params, tmp_path, monkeypatch,
 # ------------------------------------------------------------ exit codes
 
 def test_usage_error_maps_to_one(monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset
-
     assert run_cli(["disc", "--kind", "no-such-kind"], None, monkeypatch, capsys)[0] == 1
     assert run_cli(["no-such-command"], None, monkeypatch, capsys)[0] == 1
     text = dumps_pointset(roots_of_unity(3))
@@ -468,8 +514,6 @@ def test_usage_error_maps_to_one(monkeypatch, capsys):
     ],
 )
 def test_negative_seed_exits_one(argv, monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset
-
     code, out, err = run_cli(argv, dumps_pointset(roots_of_unity(3)), monkeypatch, capsys)
     assert code == 1
     assert out == ""
@@ -508,8 +552,6 @@ _PARAM_VALUES = {"seed": 3, "centers": 64, "degree": 6, "d": 2, "n": 10}
 @pytest.mark.parametrize("command,flag,kind,param", _REJECTED)
 def test_param_of_another_kind_rejected(command, flag, kind, param, via, tmp_path, monkeypatch, capsys):
     # a parameter the chosen kind never reads is an error, not a silent no-op
-    from rieszcap.pointsets import dumps_pointset
-
     settings = {flag: kind, param: _PARAM_VALUES[param]}
     if command == "gen":
         settings["n"] = 4
@@ -543,8 +585,6 @@ def test_threads_only_on_optimize(monkeypatch, capsys):
     ],
 )
 def test_file_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
-    from rieszcap.pointsets import dumps_pointset
-
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     text = dumps_pointset(roots_of_unity(3))
     code, _, err = run_cli(argv, text, monkeypatch, capsys)
@@ -591,8 +631,6 @@ def test_help_lists_exactly_the_command_flags(command, flags, monkeypatch, capsy
 
 def test_csv_format_rejected_for_json_commands(monkeypatch, capsys):
     # these commands write JSON only, so --format, csv or json, is no flag of theirs
-    from rieszcap.pointsets import dumps_pointset
-
     text = dumps_pointset(roots_of_unity(4))
     for command in ("energy", "disc", "optimize", "constants", "fit", "verify"):
         for value in ("csv", "json"):

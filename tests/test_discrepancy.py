@@ -191,6 +191,22 @@ def test_sqrt_clamp_policy():
         _sqrt_clamped(-1e-11, "x")
 
 
+def test_direct_estimator_uses_the_shared_clamp(monkeypatch):
+    # the mean D^2 reaches the clamp unchanged: float noise below zero warns
+    # and reads 0.0, a genuine identity violation raises
+    import rieszcap.discrepancy as disc
+
+    X = fibonacci_sphere(20)
+    rep = l2_cap_discrepancy_direct(X, 8, 0)
+    assert rep.value == math.sqrt(rep.diagnostics["d_squared"])  # bitwise
+    monkeypatch.setattr(disc, "_direct_dsq_per_center", lambda X, C: np.full(C.shape[0], -1e-16))
+    with pytest.warns(RuntimeWarning, match="L2CapDirect"):
+        assert l2_cap_discrepancy_direct(X, 8, 0).value == 0.0
+    monkeypatch.setattr(disc, "_direct_dsq_per_center", lambda X, C: np.full(C.shape[0], -1e-11))
+    with pytest.raises(NegativeVarianceError, match="L2CapDirect"):
+        l2_cap_discrepancy_direct(X, 8, 0)
+
+
 # ------------------------------------------------------- direct estimator
 
 def test_direct_single_point_s2_per_center():

@@ -272,14 +272,21 @@ def test_csv_dump_bytes_pinned():
     n=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     fmt=st.sampled_from(["csv", "json"]),
-    header=st.booleans(),
 )
-def test_roundtrip_property(d, n, seed, fmt, header):
+def test_roundtrip_property(d, n, seed, fmt):
     ps = random_uniform(d, n, seed)
-    text = dumps_pointset(ps, fmt, header=header)
+    text = dumps_pointset(ps, fmt)
     back = loads_pointset(text, "auto")
     assert back.d == ps.d
     assert np.array_equal(back.points, ps.points)
+
+
+def test_file_format_decided_by_content(tmp_path):
+    ps = random_uniform(2, 5, 3)
+    for name, fmt in (("csv.json", "csv"), ("json.csv", "json"), ("noext", "json")):
+        path = tmp_path / name
+        path.write_text(dumps_pointset(ps, fmt))
+        assert np.array_equal(read_pointset(str(path)).points, ps.points), name
 
 
 def test_csv_header_parsed(tmp_path):
