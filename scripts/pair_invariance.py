@@ -1,5 +1,5 @@
-"""Check that two rieszcap source trees give bitwise equal pair sums and
-probe iterates.
+"""Check that two rieszcap source trees give bitwise equal pair sums, probe
+iterates and discrepancy estimators.
 
     python3 scripts/pair_invariance.py REF_SRC [--src SRC]
 
@@ -17,6 +17,11 @@ in its own process with one BLAS thread and reports:
     strips share one buffer and repair close pairs: uniform random S^2 at
     N = 600 and 4096, the 4096th roots of unity and uniform random S^3 at
     N = 1000;
+  * the center estimators `l2_cap_discrepancy_direct` and
+    `cap_sup_discrepancy_lower` on the benchmark's `disc_generate(7)`
+    inputs (1024 centers on each S^2 set, 256 on S^3), sigma_d on 201
+    thresholds in [-1, 1] for d = 1..8, and the Weyl sums at L = 64 on
+    the S^2 sets;
   * whether `optimize` with three restarts gives the same result with
     threads=1 and threads=3.
 
@@ -24,8 +29,8 @@ The script prints both reports and one JSON line with the verdict, and
 exits 0 when everything is bitwise equal and threads agree, 1 otherwise.
 When bits differ it prints one more JSON line with how far they moved: the
 largest relative energy difference and the largest gradient difference
-over max|g| on both grids, and the probe iteration and evaluation counts of
-both trees side by side.
+over max|g| on both grids, the probe iteration and evaluation counts of
+both trees side by side, and the estimator entries that differ.
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
 """
@@ -47,6 +52,7 @@ GRID_N = (32, 64, 128)
 GRID_S = (-1.0, 0.0, 0.5, 2.0)
 # (label, d, N) of the multi-strip inputs; "roots" is roots_of_unity(N)
 MULTI_STRIP = (("S2", 2, 600), ("S2", 2, 4096), ("roots", 1, 4096), ("S3", 3, 1000))
+DISC_SEED = 7
 
 
 def _digest(a) -> str:
@@ -66,10 +72,29 @@ def _sums(energy, inputs, values: dict) -> dict:
     return out
 
 
+def _estimators(discrepancy, workloads) -> dict:
+    # hex values and digests by "estimator input"
+    inputs = workloads.disc_generate(DISC_SEED)
+    cases = [(label, X, workloads.DISC_CENTERS) for label, X in inputs["s2"]]
+    cases.append(("s3", inputs["s3"], workloads.DISC_CENTERS_S3))
+    out = {}
+    for label, X, centers in cases:
+        rep = discrepancy.l2_cap_discrepancy_direct(X, centers, DISC_SEED)
+        out[f"l2-direct {label}"] = [rep.diagnostics["d_squared"].hex(),
+                                     rep.diagnostics["standard_error_d_squared"].hex()]
+        out[f"cap-sup-lower {label}"] = discrepancy.cap_sup_discrepancy_lower(X, centers, DISC_SEED).value.hex()
+        if X.d == 2:
+            out[f"weyl {label}"] = _digest(discrepancy.weyl_sums(X, workloads.DISC_DEGREE))
+    t = np.linspace(-1.0, 1.0, 201)
+    for d in range(1, 9):
+        out[f"sigma d={d}"] = _digest(discrepancy._sigma_cap_values(d, t))
+    return out
+
+
 def report() -> dict:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    from rieszcap import energy, optimizer, pointsets
+    from rieszcap import discrepancy, energy, optimizer, pointsets
 
     # counted at the optimizer's module name, as bench/tracing.py counts,
     # so trees whose results carry no evaluation counts report them too
@@ -107,7 +132,8 @@ def report() -> dict:
     same = serial.to_json() == threaded.to_json() and bool(
         (serial.best.points == threaded.best.points).all()
     )
-    return {"probe": probe, "grid": grid, "multi_strip": multi, "threads_1_vs_3_equal": same,
+    return {"probe": probe, "grid": grid, "multi_strip": multi,
+            "estimators": _estimators(discrepancy, workloads), "threads_1_vs_3_equal": same,
             "values": values}
 
 
@@ -128,6 +154,7 @@ def moved(ref: dict, new: dict) -> dict:
             [p["N"], p["iterations"], q["iterations"], p["evaluations"], q["evaluations"]]
             for p, q in zip(ref["probe"], new["probe"])
         ],
+        "estimators_differing": [k for k, v in ref["estimators"].items() if new["estimators"][k] != v],
     }
 
 
@@ -158,12 +185,13 @@ def main(argv=None) -> int:
         "probe_equal": ref["probe"] == new["probe"],
         "grid_equal": ref["grid"] == new["grid"],
         "multi_strip_equal": ref["multi_strip"] == new["multi_strip"],
+        "estimators_equal": ref["estimators"] == new["estimators"],
         "iterations": [p["iterations"] for p in new["probe"]],
         "evaluations": [p["evaluations"] for p in new["probe"]],
         "threads_1_vs_3_equal": new["threads_1_vs_3_equal"],
     }
     print(json.dumps(verdict))
-    equal = verdict["probe_equal"] and verdict["grid_equal"] and verdict["multi_strip_equal"]
+    equal = all(verdict[k] for k in ("probe_equal", "grid_equal", "multi_strip_equal", "estimators_equal"))
     if not equal:
         print(json.dumps(moved(ref, new)))
     ok = equal and verdict["threads_1_vs_3_equal"]

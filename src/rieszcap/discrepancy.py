@@ -61,22 +61,30 @@ def _sqrt_clamped(arg: float, what: str) -> float:
 # ----------------------------------------------------------------------------
 # cap measure
 
-def _sigma_cap_values(d: int, t: np.ndarray) -> np.ndarray:
-    # normalized measure of the cap {y : <x, y> >= t}; vector form, t clipped.
-    # c_d J_p(t), c_d = d ball_sphere_ratio(d) = omega_{d-1}/omega_d, with
-    # J_p = int_t^1 (1-u^2)^p du, p = d/2 - 1, by the recurrence (2p+1) J_p =
-    # -t (1-t^2)^p + 2p J_{p-1} up from J_0 = 1 - t or J_{-1/2} = arccos t.
-    t = np.clip(t, -1.0, 1.0)
+def _sigma_cap_values(d: int, t: np.ndarray, out=None, work=None) -> np.ndarray:
+    # normalized measure of the cap {y : <x, y> >= t} for t in [-1, 1], into
+    # `out` (fresh when None): c_d J_p(t), c_d = d ball_sphere_ratio(d) =
+    # omega_{d-1}/omega_d, with J_p = int_t^1 (1-u^2)^p du, p = d/2 - 1, by the
+    # recurrence (2p+1) J_p = -t (1-t^2)^p + 2p J_{p-1} up from J_0 = 1 - t or
+    # J_{-1/2} = arccos t, in place with the scratch array `work` of t's shape
+    # (fresh when None; d >= 3 only)
     p_target = d / 2.0 - 1.0
     if d % 2 == 0:
-        j = 1.0 - t
+        j = np.subtract(1.0, t, out=out)
         p = 0.0
     else:
-        j = np.arccos(t)
+        j = np.arccos(t, out=out)
         p = -0.5
+    w = np.empty_like(j) if d > 2 and work is None else work
     while p < p_target - 0.25:
         p += 1.0
-        j = (-t * (1.0 - t * t) ** p + 2.0 * p * j) / (2.0 * p + 1.0)
+        np.multiply(t, t, out=w)
+        np.subtract(1.0, w, out=w)
+        w **= p
+        w *= t
+        j *= 2.0 * p
+        j -= w
+        j /= 2.0 * p + 1.0
     j *= d * ball_sphere_ratio(d)
     return np.clip(j, 0.0, 1.0, out=j)
 
@@ -134,21 +142,31 @@ def sample_centers(d: int, m: int, seed) -> np.ndarray:
 
 
 def _sorted_projections(X: PointSet, centers: np.ndarray):
-    """Yield (rows, u) over blocks of centers: u[i] holds <centers[rows][i], x_j>
-    clipped to [-1, 1] and sorted.  A block keeps u's N+1 threshold segments
-    within energy._BLOCK entries, so memory stays bounded for every N and
-    number of centers.  The block height is a power of two so that blocks
-    start on BLAS row-tile boundaries; with two or more centers per block the
-    projections then match one whole-matrix product bit for bit (checked with
-    OpenBLAS).  The x_j are the points scaled to unit norm."""
+    """Yield (rows, u, a, b) over blocks of centers: u[i] holds
+    <centers[rows][i], x_j> clipped to [-1, 1] and sorted, and a, b are work
+    arrays of u's shape.  All three are views of buffers allocated once per
+    call that every block overwrites (a short last block sees their first
+    rows), so a consumer is done with them when it asks for the next block.
+    A block keeps u's N+1 threshold segments within energy._BLOCK entries,
+    so memory stays bounded for every N and number of centers.  The block
+    height is a power of two so that blocks start on BLAS row-tile
+    boundaries; with two or more centers per block the projections then
+    match one whole-matrix product bit for bit (checked with OpenBLAS).  The
+    x_j are the points scaled to unit norm."""
     fit = max(1, _BLOCK // (X.n + 1))
     height = 1 << (fit.bit_length() - 1)
     pts_t = _unit_points(X).T
-    for start in range(0, centers.shape[0], height):
+    m = centers.shape[0]
+    # three arrays, not one of three blocks: glibc's mmap threshold follows
+    # the largest freed block, and a larger one keeps more heap resident
+    bufs = [np.empty((min(height, m), X.n)) for _ in range(3)]
+    for start in range(0, m, height):
         rows = slice(start, start + height)
-        u = np.clip(centers[rows] @ pts_t, -1.0, 1.0)
+        u, a, b = (buf[: min(height, m - start)] for buf in bufs)
+        np.matmul(centers[rows], pts_t, out=u)
+        np.clip(u, -1.0, 1.0, out=u)
         u.sort(axis=1)
-        yield rows, u
+        yield rows, u, a, b
 
 
 def _sigma_sq_integral(d: int) -> float:
@@ -178,8 +196,15 @@ def _direct_dsq_per_center(X: PointSet, centers: np.ndarray) -> np.ndarray:
     w = np.arange(2 * n - 1, 0, -2, dtype=np.float64) / (n * n)
     constant = _sigma_sq_integral(d) - 1.0
     out = np.empty(centers.shape[0])
-    for rows, u in _sorted_projections(X, centers):
-        s = u * _sigma_cap_values(d, u) - (c / d) * (1.0 - u * u) ** (0.5 * d)
+    for rows, u, s, r in _sorted_projections(X, centers):
+        # S_d(u) - 1 = u sigma_d(u) - (c_d/d) (1 - u^2)^(d/2), in place
+        _sigma_cap_values(d, u, out=s, work=r)
+        s *= u
+        np.multiply(u, u, out=r)
+        np.subtract(1.0, r, out=r)
+        r **= 0.5 * d
+        r *= c / d
+        s -= r
         out[rows] = u @ w - (2.0 / n) * s.sum(axis=1) + constant
     return out
 
@@ -381,12 +406,13 @@ def leveque_report(X: PointSet, L: int) -> DiscrepancyReport:
 def _cap_sup_given_centers(X: PointSet, centers: np.ndarray) -> float:
     n = X.n
     j = np.arange(1, n + 1, dtype=np.float64)
+    above = (n - j) / n        # F for t just above the jump
+    at = (n - j + 1.0) / n     # F for t at the jump (point included)
     worst = 0.0
-    for _, u in _sorted_projections(X, centers):
-        sig = _sigma_cap_values(X.d, u)
-        above = np.abs((n - j) / n - sig)        # t just above the jump
-        at = np.abs((n - j + 1.0) / n - sig)     # t at the jump (point included)
-        worst = max(worst, above.max(), at.max())
+    for _, u, sig, dev in _sorted_projections(X, centers):
+        _sigma_cap_values(X.d, u, out=sig, work=dev)
+        worst_above = np.abs(np.subtract(above, sig, out=dev), out=dev).max()
+        worst = max(worst, worst_above, np.abs(np.subtract(at, sig, out=dev), out=dev).max())
     return float(worst)
 
 

@@ -104,8 +104,7 @@ def _grad_sizes(g: np.ndarray) -> tuple[float, float]:
 
 
 def _renormalized(x: np.ndarray) -> np.ndarray | None:
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(_row_dots(x, x))
+    norms = np.sqrt(_row_dots(x, x))  # einsum does not warn on overflow
     # a step that collapsed a point or overflowed; the caller backtracks
     if not (norms.min() >= 1e-8 and norms.max() < np.inf):
         return None

@@ -44,9 +44,9 @@ class PointSet:
             )
         # one pass: a non-finite coordinate makes its row's norm non-finite,
         # and then dev.max() fails the test below; so does a norm that
-        # overflowed, which the coordinate re-scan tells apart
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.add.reduce(arr * arr, axis=1))
+        # overflowed (einsum does not warn), which the coordinate re-scan
+        # tells apart
+        norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
         dev = np.abs(norms - 1.0)
         if not dev.max() <= norm_tol:
             if not np.isfinite(arr).all():

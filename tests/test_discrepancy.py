@@ -602,20 +602,53 @@ def test_cap_sup_rotation_invariant_given_centers():
     )
 
 
-@pytest.mark.parametrize(
-    "estimator,limit", [(l2_cap_discrepancy_direct, 32e6), (cap_sup_discrepancy_lower, 16e6)]
-)
-def test_center_estimators_memory_bounded(estimator, limit):
-    # centers are walked in blocks: a full 1024 x 4097 projection array
-    # and its temporaries would take 168-269 MB here
-    X = roots_of_unity(4096)
+@pytest.mark.parametrize("estimator", [l2_cap_discrepancy_direct, cap_sup_discrepancy_lower])
+@pytest.mark.parametrize("d", [1, 3])
+def test_center_estimators_memory_bounded(estimator, d):
+    # centers are walked in blocks of 16 that share one projection buffer
+    # and two work buffers (3 x 16 x 4096 doubles, 1.57 MB), which also hold
+    # the scratch of sigma_d's recurrence at d = 3; a full 1024 x 4097
+    # projection array and its temporaries would take 168-269 MB, and one
+    # more block-sized temporary (0.52 MB) goes over the bound.  A warm-up
+    # call keeps numpy's first-call allocations out of the peak.
+    X = roots_of_unity(4096) if d == 1 else random_uniform(d, 4096, seed=d)
+    estimator(X, 1, 0)
     tracemalloc.start()
     try:
         estimator(X, 1024, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit
+    assert peak <= 2e6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_center_blocks_reuse_buffers_bitwise(monkeypatch, d):
+    # blocks of 4 centers and a short last block of 2, all in the buffers of
+    # the first block, against the one-block call: per-center values equal
+    import rieszcap.discrepancy as disc
+
+    X = random_uniform(d, 40, seed=d)
+    C = sample_centers(d, 10, 9)
+    direct, sup = _direct_dsq_per_center(X, C), _cap_sup_given_centers(X, C)
+    monkeypatch.setattr(disc, "_BLOCK", 4 * (X.n + 1))
+    assert [len(u) for _, u, _, _ in disc._sorted_projections(X, C)] == [4, 4, 2]
+    assert _direct_dsq_per_center(X, C).tobytes() == direct.tobytes()
+    assert _cap_sup_given_centers(X, C) == sup
+
+
+def test_sigma_cap_values_fresh_or_into_out():
+    ts = np.linspace(-1.0, 1.0, 9)
+    before = ts.copy()
+    for d in (1, 2, 3, 4):
+        a, b = _sigma_cap_values(d, ts), _sigma_cap_values(d, ts)
+        assert a is not b and not np.shares_memory(a, ts) and not np.shares_memory(a, b)
+        out = np.empty_like(ts)
+        assert _sigma_cap_values(d, ts, out=out) is out
+        assert out.tobytes() == a.tobytes() and ts.tobytes() == before.tobytes()
+        assert _sigma_cap_values(d, ts, out=out, work=np.empty_like(ts)).tobytes() == a.tobytes()
+        value = sigma_cap(d, 0.25)
+        assert type(value) is float and value == _sigma_cap_values(d, np.asarray([0.25]))[0]
 
 
 def test_cap_sup_higher_dimensions():
