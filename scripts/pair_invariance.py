@@ -101,9 +101,9 @@ def report() -> dict:
     calls = [0]
     evaluate = optimizer.riesz_energy_and_gradient
 
-    def counting(X, s):
+    def counting(X, s, **kwargs):  # the keywords a tree passes, such as a reused walk
         calls[0] += 1
-        return evaluate(X, s)
+        return evaluate(X, s, **kwargs)
 
     optimizer.riesz_energy_and_gradient = counting
     probe = []

@@ -7,11 +7,13 @@ Conventions fixed here once:
   * Every pair sum walks row strips of at most _BLOCK pair entries, so
     memory stays O(N + _BLOCK) for every N.  Each unordered pair is walked
     once (the kernels are symmetric): a strip meets only its own square and
-    the columns after it.  A walk allocates one strip buffer (two with
+    the columns after it.  A walk (`_Walk`) holds one strip buffer (two with
     gradients); each strip writes its squared distances there by one GEMM
     of the rows [x, |x|^2, 1] against the columns [-2y, 1, |y|^2], gathers
     the pairs under _NEAR_R2 with `take` to redo them from coordinate
-    differences, and lets the kernel overwrite the strip in place.
+    differences, and lets the kernel overwrite the strip in place.  A call
+    builds its walk, or reuses one of its shape across calls: the optimizer
+    keeps one per restart, with its buffers, constant columns and strip views.
   * Gradients: every weight of a strip, its own square's and the columns
     after it, reaches one accumulator sum_k W_jk (x_k, 1) through a GEMM
     against the rows [x, 1], for every N.
@@ -32,6 +34,7 @@ from .errors import (
     CoincidentPointsError,
     DomainError,
     PoleError,
+    ValidationError,
     _require_int,
 )
 from .pointsets import PointSet
@@ -49,7 +52,40 @@ _BLOCK = 1 << 17            # pair entries per row strip: one 1 MB buffer per wa
 _NEAR_R2 = 1e-2             # GEMM r^2 below this is redone by differences
 
 
-def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False):
+class _Walk:
+    """A pair walk's buffers and strip views for n points of R^m, with their
+    constant columns filled: `_pair_sums` calls of that shape and `grad`
+    reuse them.  One caller at a time; the optimizer keeps one per restart."""
+
+    def __init__(self, n: int, m: int, grad: bool):
+        self.shape = (n, m, grad)
+        self.left = np.empty((n, m + 2))  # [x, |x|^2, 1]: left[lo:hi] @ right[:, lo:] is r^2
+        self.left[:, m + 1] = 1.0
+        self.right = np.empty((m + 2, n))  # [-2y, 1, |y|^2], transposed and contiguous
+        self.right[m] = 1.0
+        height = max(1, _BLOCK // n)
+        buf = np.empty(min(height, n) * n)  # each strip's r^2, then K
+        wbuf = np.empty(buf.size) if grad else None  # each strip's W
+        # square row sums, then 2x those of k >= hi: the last strip has none, so its stay 0
+        self.rows = np.zeros(2 * n if n > height else n)
+        if grad:
+            # acc_j = sum_k W_jk (x_k, 1).  Its own [x, 1] rather than `left`:
+            # against five columns OpenBLAS rounded the x sums up to 6x worse
+            self.aug = np.empty((n, m + 1))
+            self.aug[:, m] = 1.0
+            self.acc = np.empty((n, m + 1))
+        self.strips = []  # lo, hi, h, flat strip, its r^2, flat W, its W, the square's diagonal
+        for lo in range(0, n, height):
+            hi = min(lo + height, n)
+            strip = buf[: (hi - lo) * (n - lo)]
+            wflat = wbuf[: strip.size] if grad else None
+            self.strips.append((lo, hi, hi - lo, strip, strip.reshape(hi - lo, n - lo), wflat,
+                                wflat.reshape(hi - lo, n - lo) if grad else None,
+                                slice(None, None, n - lo + 1)))
+        self.kernel = (None, None)  # s and _riesz_kernel(s) of the last Riesz call
+
+
+def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False, walk=None):
     """Sum of a symmetric kernel over the pairs j != k and, with `grad`, the gradient rows G.
 
     `kernel(r2, w)` writes K over a strip's squared distances r2 and,
@@ -58,35 +94,25 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
     Row strip [lo, hi) meets only the columns lo..n-1: its own square keeps
     both orders of each pair, with the diagonal fed r2 = 1 and dropped, and
     the columns from hi on are the pairs k > j, which count twice in the
-    sum and send their gradient weights to both endpoints.  Returns
-    (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
+    sum and send their gradient weights to both endpoints.  `walk` (a `_Walk`
+    of this shape and `grad`) is reused, or built for the call when None.
+    Returns (total, G) with G_j = 2 sum_k W_jk (x_j - x_k), or None without `grad`.
     """
     n, m = pts.shape
-    left = np.empty((n, m + 2))  # [x, |x|^2, 1]: left[lo:hi] @ right[:, lo:] is r^2
-    right = np.empty((m + 2, n))  # [-2y, 1, |y|^2], transposed and contiguous
+    walk = _Walk(n, m, grad) if walk is None else walk
+    if walk.shape != (n, m, grad):
+        raise ValidationError(f"walk built for (n, m, grad) = {walk.shape}, called with {(n, m, grad)}")
+    left, right, rows = walk.left, walk.right, walk.rows
     np.einsum("ij,ij->i", pts, pts, out=right[m + 1])
     left[:, :m] = pts
     left[:, m] = right[m + 1]
-    left[:, m + 1] = 1.0
     np.multiply(pts.T, -2.0, out=right[:m])
-    right[m] = 1.0
-    height = max(1, _BLOCK // n)
-    buf = np.empty(min(height, n) * n)  # each strip's r^2, then K
-    wbuf = np.empty(buf.size) if grad else None  # each strip's W
-    rows = np.zeros(2 * n if n > height else n)  # square row sums, then 2x those of k >= hi
     if grad:
-        # acc_j = sum_k W_jk (x_k, 1).  Its own [x, 1] rather than `left`:
-        # against five columns OpenBLAS rounded the x sums up to 6x worse
-        aug = np.empty((n, m + 1))
+        aug, acc = walk.aug, walk.acc
         aug[:, :m] = pts
-        aug[:, m] = 1.0
-        acc = np.zeros((n, m + 1))
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        h = hi - lo
-        strip = buf[: h * (n - lo)]
-        r2 = np.matmul(left[lo:hi], right[:, lo:], out=strip.reshape(h, n - lo))
-        diag = slice(None, None, n - lo + 1)  # the square's diagonal (j, j)
+        acc.fill(0.0)
+    for lo, hi, h, strip, r2, wflat, w, diag in walk.strips:
+        np.matmul(left[lo:hi], right[:, lo:], out=r2)
         strip[diag] = 1.0
         if r2.min() < _NEAR_R2:
             flat = np.flatnonzero(strip < _NEAR_R2)
@@ -98,14 +124,13 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
             if coincident_error and near.min() < COINCIDENCE_TOL * COINCIDENCE_TOL:
                 r = math.sqrt(near.min())
                 raise CoincidentPointsError(f"pair distance {r:.3g} below {COINCIDENCE_TOL:g}")
-        w = wbuf[: strip.size].reshape(h, n - lo) if grad else None
         kernel(r2, w)
         strip[diag] = 0.0
         rows[lo:hi] = r2[:, :h].sum(axis=1)
         if hi < n:
             rows[n + lo : n + hi] = 2.0 * r2[:, h:].sum(axis=1)
         if grad:
-            w.reshape(-1)[diag] = 0.0
+            wflat[diag] = 0.0
             acc[lo:hi] += w @ aug[lo:]
             if hi < n:
                 acc[hi:] += w[:, h:].T @ aug[lo:hi]
@@ -155,15 +180,20 @@ def riesz_energy(X: PointSet, s: float) -> float:
     return _pair_sums(X.points, _riesz_kernel(s), coincident_error=s >= 0.0)[0]
 
 
-def riesz_energy_and_gradient(X: PointSet, s: float) -> tuple[float, np.ndarray]:
+def riesz_energy_and_gradient(X: PointSet, s: float, *, _walk=None) -> tuple[float, np.ndarray]:
     """Energy and tangential gradient from one walk over the pairs.
 
     Coincident points raise CoincidentPointsError for s > -2, where the
-    gradient of the kernel is unbounded at r = 0.
+    gradient of the kernel is unbounded at r = 0.  `_walk`, a gradient
+    `_Walk` of X's shape, is reused instead of building one: the optimizer
+    keeps one per restart for all its evaluations.
     """
     s = _require_finite("s", s)
     pts = X.points
-    total, grad = _pair_sums(pts, _riesz_kernel(s), coincident_error=s > -2.0, grad=True)
+    walk = _Walk(*pts.shape, True) if _walk is None else _walk
+    if walk.kernel[0] != s:
+        walk.kernel = (s, _riesz_kernel(s))
+    total, grad = _pair_sums(pts, walk.kernel[1], coincident_error=s > -2.0, grad=True, walk=walk)
     grad -= np.einsum("ij,ij->i", grad, pts)[:, None] * pts
     return total, grad
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .energy import riesz_energy_and_gradient
+from .energy import _Walk, riesz_energy_and_gradient
 from .errors import ValidationError, _require_int
 from .pointsets import PointSet, random_uniform
 
@@ -114,7 +114,8 @@ def _renormalized(x: np.ndarray) -> np.ndarray | None:
 def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
     sign = 1.0 if cfg.maximize else -1.0
     x = x0.copy()
-    energy, grad = riesz_energy_and_gradient(PointSet(d, x), cfg.s)
+    walk = _Walk(len(x), d + 1, True)  # every evaluation of this restart reuses its buffers
+    energy, grad = riesz_energy_and_gradient(PointSet(d, x), cfg.s, _walk=walk)
     evals = 1
     g2, gmax = _grad_sizes(grad)
     ref, weight = sign * energy, 1.0  # Zhang-Hager C_k and Q_k
@@ -122,6 +123,7 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
     iters = 0
     stop = "max_iters"
     trace = [(0, energy, gmax, 0.0)] if keep_trace else None
+    best = (x, energy, gmax)  # the best accepted iterate, by reference
     for _ in range(cfg.max_iters):
         if gmax <= cfg.grad_tol:
             stop = "grad_tol"
@@ -130,7 +132,7 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
         while step >= STEP_STALL:
             trial = _renormalized(x + (sign * step) * grad)
             if trial is not None:
-                e_new, g_new = riesz_energy_and_gradient(PointSet(d, trial), cfg.s)
+                e_new, g_new = riesz_energy_and_gradient(PointSet(d, trial), cfg.s, _walk=walk)
                 evals += 1
                 if sign * e_new >= ref + _ARMIJO_C * step * g2:
                     accepted = True
@@ -150,6 +152,7 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
         c = -sign * _dot(s_vec, y)
         x, energy, grad = trial, e_new, g_new
         g2, gmax = _grad_sizes(grad)
+        best = max((x, energy, gmax), best, key=lambda it: sign * it[1])  # ties: the latest
         if keep_trace:
             trace.append((iters, energy, gmax, step))
         if c <= 0.0:
@@ -160,6 +163,8 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
             step = c / _dot(y, y)
     if gmax <= cfg.grad_tol:
         stop = "grad_tol"
+    else:  # nonmonotone acceptance may have left the best iterate behind
+        x, energy, gmax = best
     return x, energy, gmax, iters, stop, evals, trace
 
 
@@ -169,8 +174,10 @@ def optimize(
     """Best-of-restarts projected gradient from X0.
 
     Restart 0 starts at X0; restarts 1..k-1 start from uniform draws seeded
-    by children of cfg.seed, so the whole run is deterministic.  Ties in the
-    final objective go to the earlier restart.  `threads` > 1 runs restarts
+    by children of cfg.seed, so the whole run is deterministic.  A restart
+    that stops by max_iters or step_stall yields its best accepted iterate,
+    a grad_tol stop its last.  Ties in the final objective go to the earlier
+    restart.  `threads` > 1 runs restarts
     concurrently; selection order is by restart index either way, so the
     result does not depend on threads.  Threads pay off only at hundreds of
     points: on a 2-vCPU host with 4 restarts on S^2, 2 threads took 1.8x as
@@ -193,10 +200,7 @@ def optimize(
             )
     else:
         outs = [_run_single(s0, X0.d, cfg, keep_trace) for s0 in starts]
-    best = None
-    for out in outs:
-        if best is None or sign * (out[1] - best[1]) > 0.0:
-            best = out
+    best = max(outs, key=lambda out: sign * out[1])  # ties: the earlier restart
     x, energy, gmax, iters, stop, _, trace = best
     return OptimizerResult(
         best=PointSet(X0.d, x),

@@ -29,6 +29,7 @@ from rieszcap.errors import (
     DomainError,
     PoleError,
     UnsupportedDimension,
+    ValidationError,
 )
 from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
 
@@ -252,6 +253,87 @@ def test_coincident_pair_first_met_in_a_later_strip(monkeypatch):
         with pytest.raises(CoincidentPointsError):
             riesz_gradient(dup, s)
     assert math.isfinite(riesz_energy(dup, -1.0))
+
+
+# ------------------------------------------------------------ reused walks
+
+def _bits(total, g=None):
+    return total.hex(), None if g is None else g.tobytes()
+
+
+def _walk_matches_fresh(walk, X, s):
+    # one call on `walk` against a call that builds its own, bit for bit
+    kernel = energy_mod._riesz_kernel(s)
+    grad = walk.shape[2]
+    got = energy_mod._pair_sums(X.points, kernel, True, grad, walk)
+    assert _bits(*got) == _bits(*energy_mod._pair_sums(X.points, kernel, True, grad)), (X.n, s)
+    if grad:
+        assert _bits(*riesz_energy_and_gradient(X, s, _walk=walk)) == _bits(*riesz_energy_and_gradient(X, s))
+    return got
+
+
+def test_walk_reused_across_point_sets_of_one_strip():
+    walks = [energy_mod._Walk(64, 3, grad) for grad in (True, False)]
+    first = _walk_matches_fresh(walks[0], random_uniform(2, 64, 1), -1.0)
+    kept = first[1].copy()
+    for X in (random_uniform(2, 64, 2), _clustered(2, 32, 0.02, 3), random_uniform(2, 64, 4)):
+        for walk in walks:
+            for s in (-1.0, 0.0, 0.5, 2.0):
+                _walk_matches_fresh(walk, X, s)
+    assert np.array_equal(first[1], kept)  # a returned gradient is not a walk buffer
+
+
+def test_walk_reused_across_strips_with_and_without_close_pairs(monkeypatch):
+    # eight strips of 30 rows, the last one 10: the clusters repair close
+    # pairs in four of them, the Fibonacci set in none
+    clusters = _clusters_then_spread()
+    spread = fibonacci_sphere(len(clusters)).points
+    monkeypatch.setattr(energy_mod, "_BLOCK", 30 * len(clusters))
+    assert any(_strips_with_close_pairs(clusters, 30))
+    assert not any(_strips_with_close_pairs(spread, 30))
+    walks = [energy_mod._Walk(len(clusters), 3, grad) for grad in (True, False)]
+    assert len(walks[0].strips) == 8 and walks[0].strips[-1][2] == 10
+    for pts in (clusters, spread, clusters[::-1].copy(), spread):
+        for walk in walks:
+            for s in (-1.0, 0.0, 2.0):
+                _walk_matches_fresh(walk, PointSet(2, pts), s)
+
+
+def test_walk_reused_after_coincident_points_error(monkeypatch):
+    # the duplicate pair is met in the strip from row 180, after earlier
+    # strips have written the buffers; the next call must not see them
+    pts = _clusters_then_spread()
+    dup = pts.copy()
+    dup[200] = dup[185]
+    monkeypatch.setattr(energy_mod, "_BLOCK", 30 * len(pts))
+    walks = [energy_mod._Walk(len(pts), 3, grad) for grad in (True, False)]
+    for walk in walks:
+        with pytest.raises(CoincidentPointsError):
+            energy_mod._pair_sums(dup, energy_mod._riesz_kernel(1.0), True, walk.shape[2], walk)
+        for s in (-1.0, 1.0):
+            _walk_matches_fresh(walk, PointSet(2, pts), s)
+    with pytest.raises(CoincidentPointsError):
+        riesz_energy_and_gradient(PointSet(2, dup), -1.0, _walk=walks[0])
+    _walk_matches_fresh(walks[0], PointSet(2, pts), -1.0)
+
+
+def test_walk_of_another_shape_is_refused_before_use():
+    walk = energy_mod._Walk(64, 3, True)
+    _walk_matches_fresh(walk, random_uniform(2, 64, 5), -1.0)
+    buffers = [a.copy() for a in (walk.left, walk.right, walk.rows, walk.aug, walk.acc)]
+    kernel = energy_mod._riesz_kernel(-1.0)
+    for pts, grad in ((random_uniform(2, 63, 6).points, True),
+                      (random_uniform(3, 64, 6).points, True),
+                      (random_uniform(2, 64, 6).points, False)):
+        with pytest.raises(ValidationError):
+            energy_mod._pair_sums(pts, kernel, True, grad, walk)
+    with pytest.raises(ValidationError):
+        riesz_energy_and_gradient(random_uniform(1, 64, 6), -1.0, _walk=walk)
+    with pytest.raises(ValidationError):
+        energy_mod._pair_sums(random_uniform(2, 64, 6).points, kernel, True, True,
+                              energy_mod._Walk(64, 3, False))
+    after = (walk.left, walk.right, walk.rows, walk.aug, walk.acc)
+    assert all(np.array_equal(a, b) for a, b in zip(buffers, after))
 
 
 _R2 = np.array([[0.25, 1.0, 2.0], [3.5, 0.01, 4.0]])

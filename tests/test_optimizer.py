@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -175,9 +176,9 @@ def evaluations(monkeypatch):
     calls = []
     counted = opt.riesz_energy_and_gradient
 
-    def counting(X, s):
+    def counting(X, s, **kwargs):
         calls.append(s)
-        return counted(X, s)
+        return counted(X, s, **kwargs)
 
     monkeypatch.setattr(opt, "riesz_energy_and_gradient", counting)
     return calls
@@ -202,6 +203,54 @@ def test_restart_evaluations_count_calls_and_ignore_threads(evaluations):
     threaded = optimize(X0, cfg, threads=3)
     assert threaded.restart_evaluations == serial.restart_evaluations
     assert threaded.to_json() == serial.to_json()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_one_walk_per_restart(monkeypatch, threads):
+    # each restart builds one walk, in its own thread, and every evaluation
+    # of that restart reuses it
+    import rieszcap.optimizer as opt
+
+    built, seen = [], []
+    evaluate = opt.riesz_energy_and_gradient
+
+    class Walk(opt._Walk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self, threading.get_ident()))
+
+    def recording(X, s, **kwargs):
+        seen.append((kwargs["_walk"], threading.get_ident()))
+        return evaluate(X, s, **kwargs)
+
+    monkeypatch.setattr(opt, "_Walk", Walk)
+    monkeypatch.setattr(opt, "riesz_energy_and_gradient", recording)
+    cfg = OptimizerConfig(s=-1.0, restarts=3, seed=4, grad_tol=1e-6)
+    res = optimize(random_uniform(2, 16, seed=2), cfg, threads=threads)
+    assert len(built) == 3 and len({id(walk) for walk, _ in built}) == 3
+    owner = {id(walk): thread for walk, thread in built}
+    assert all(owner.get(id(walk)) == thread for walk, thread in seen)
+    per_walk = [sum(used is walk for used, _ in seen) for walk, _ in built]
+    assert sorted(per_walk) == sorted(res.restart_evaluations)
+    if threads == 1:
+        assert per_walk == res.restart_evaluations
+
+
+def test_max_iters_stop_returns_best_accepted_iterate():
+    # nonmonotone acceptance ends this run 3.3e-5 below the best energy it
+    # accepted; restarts are ranked by the returned energy
+    res = optimize(
+        random_uniform(4, 128, seed=128),
+        OptimizerConfig(s=-1.0, grad_tol=1e-6, max_iters=3000),
+        keep_trace=True,
+    )
+    assert res.stop_reason == "max_iters"
+    assert res.iterations == res.trace[-1][0] == 3000
+    assert res.energy == max(row[1] for row in res.trace) > res.trace[-1][1]
+    best = next(row for row in res.trace if row[1] == res.energy)
+    assert res.grad_norm == best[2] and not res.converged
+    assert res.restart_energies == [res.energy] and res.restart_grad_norms == [res.grad_norm]
+    assert riesz_energy(res.best, -1.0) == res.energy
 
 
 def test_coincident_start_propagates():
