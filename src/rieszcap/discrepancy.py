@@ -30,7 +30,7 @@ from .errors import (
     NegativeVarianceError,
     _require_int,
 )
-from .pointsets import PointSet, random_uniform
+from .pointsets import PointSet, _unit_rows, random_uniform
 from .special_functions import _half_gamma_quotient
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
@@ -110,7 +110,7 @@ def _unit_points(X: PointSet) -> np.ndarray:
 def mean_distance(X: PointSet) -> float:
     """(1/N^2) sum over ordered pairs of |x_j - x_k| (diagonal contributes 0),
     over the points scaled to unit norm."""
-    return riesz_energy(PointSet(X.d, _unit_points(X)), -1.0) / (X.n * X.n)
+    return riesz_energy(_unit_rows(X.d, _unit_points(X)), -1.0) / (X.n * X.n)
 
 
 def l2_cap_discrepancy(X: PointSet) -> DiscrepancyReport:

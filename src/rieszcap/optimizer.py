@@ -33,7 +33,7 @@ import numpy as np
 
 from .energy import _Walk, riesz_energy_and_gradient
 from .errors import ValidationError, _require_int
-from .pointsets import PointSet, random_uniform
+from .pointsets import PointSet, _unit_rows, random_uniform
 
 STEP_STALL = 1e-17  # backtracked step below this means float plateau
 _GROWTH = 2.0
@@ -104,11 +104,14 @@ def _grad_sizes(g: np.ndarray) -> tuple[float, float]:
 
 
 def _renormalized(x: np.ndarray) -> np.ndarray | None:
+    """x with its rows divided by their norms, in place; None, x untouched,
+    when a row is NaN, infinite, overflows or has collapsed."""
     norms = np.sqrt(_row_dots(x, x))  # einsum does not warn on overflow
     # a step that collapsed a point or overflowed; the caller backtracks
     if not (norms.min() >= 1e-8 and norms.max() < np.inf):
         return None
-    return x / norms[:, None]
+    x /= norms[:, None]
+    return x
 
 
 def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
@@ -130,9 +133,11 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
             break
         accepted = False
         while step >= STEP_STALL:
-            trial = _renormalized(x + (sign * step) * grad)
+            trial = grad * (sign * step)  # the bits of x + (sign * step) * grad, one buffer
+            trial += x
+            trial = _renormalized(trial)
             if trial is not None:
-                e_new, g_new = riesz_energy_and_gradient(PointSet(d, trial), cfg.s, _walk=walk)
+                e_new, g_new = riesz_energy_and_gradient(_unit_rows(d, trial), cfg.s, _walk=walk)
                 evals += 1
                 if sign * e_new >= ref + _ARMIJO_C * step * g2:
                     accepted = True
@@ -152,7 +157,8 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
         c = -sign * _dot(s_vec, y)
         x, energy, grad = trial, e_new, g_new
         g2, gmax = _grad_sizes(grad)
-        best = max((x, energy, gmax), best, key=lambda it: sign * it[1])  # ties: the latest
+        if sign * energy >= sign * best[1]:  # ties: the latest
+            best = (x, energy, gmax)
         if keep_trace:
             trace.append((iters, energy, gmax, step))
         if c <= 0.0:

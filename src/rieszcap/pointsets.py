@@ -30,6 +30,9 @@ class PointSet:
     `points` is a read-only (N, d+1) float64 array; every row is unit-norm
     within the `norm_tol` it was built with (NORM_TOL, or INGEST_NORM_TOL
     for a loaded set); the tolerance gates construction and is not kept.
+    The private `_unit_rows(d, arr)` skips the copy and the check: its
+    caller must pass a fresh (N, d+1) float64 array whose finite rows it
+    has just divided by their norms.
     """
 
     __slots__ = ("d", "points")
@@ -72,6 +75,19 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(d={self.d}, n={self.n})"
+
+
+def _unit_rows(d: int, arr: np.ndarray) -> PointSet:
+    """A PointSet that owns `arr`, rows just divided by their finite norms.
+
+    No copy and no second norm check; `arr` becomes read-only.  A module
+    function, so a wrapper put on a module's `PointSet` name does not see it.
+    """
+    X = object.__new__(PointSet)
+    arr.flags.writeable = False
+    object.__setattr__(X, "d", d)
+    object.__setattr__(X, "points", arr)
+    return X
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,36 @@ import pytest
 
 from rieszcap.energy import riesz_energy, riesz_gradient
 from rieszcap.errors import CoincidentPointsError, DomainError, ValidationError
-from rieszcap.optimizer import _ZH_ETA, OptimizerConfig, optimize
-from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
+from rieszcap.optimizer import _ZH_ETA, OptimizerConfig, _renormalized, optimize
+from rieszcap.pointsets import (
+    NORM_TOL,
+    PointSet,
+    fibonacci_sphere,
+    random_uniform,
+    roots_of_unity,
+)
 
 from oracles import finite_diff_gradient
 
 
 def _antipodal_s1():
     return PointSet(1, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The point set of every energy/gradient call the optimizer makes."""
+    import rieszcap.optimizer as opt
+
+    calls = []
+    counted = opt.riesz_energy_and_gradient
+
+    def counting(X, s, **kwargs):
+        calls.append(X)
+        return counted(X, s, **kwargs)
+
+    monkeypatch.setattr(opt, "riesz_energy_and_gradient", counting)
+    return calls
 
 
 # ------------------------------------------------------------------ config
@@ -48,11 +70,33 @@ def test_config_field_validation(kwargs):
 
 # ---------------------------------------------------------------- optimize
 
-def test_overflowing_trial_backtracks():
-    # the first trial's norms overflow; it must backtrack, not reach PointSet
+def test_overflowing_trial_backtracks(evaluations):
+    # the first trial's norms overflow; it must backtrack, not reach an evaluation
     X = fibonacci_sphere(20)
     res = optimize(X, OptimizerConfig(s=-1.0, step_init=1e300))
+    assert all(np.isfinite(Y.points).all() for Y in evaluations)
     assert res.energy == pytest.approx(optimize(X, OptimizerConfig(s=-1.0)).energy, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], [1e200, 1e200, 0.0], [1e-9, 0.0, 0.0]],
+    ids=["nan", "inf", "overflow", "collapsed"],
+)
+def test_renormalized_rejects_invalid_rows(row):
+    x = 2.0 * fibonacci_sphere(5).points
+    x[2] = row
+    before = x.copy()
+    assert _renormalized(x) is None
+    np.testing.assert_array_equal(x, before)
+
+
+def test_renormalized_divides_rows_in_place():
+    x = 3.0 * random_uniform(2, 7, seed=1).points + 0.5
+    expected = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    assert _renormalized(x) is x
+    np.testing.assert_array_equal(x, expected)
+    assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= NORM_TOL
 
 
 def test_antipodal_pair_is_fixed_point():
@@ -168,20 +212,22 @@ def test_restarts_never_hurt():
     assert multi.restart_grad_norms[winner] == multi.grad_norm
 
 
-@pytest.fixture
-def evaluations(monkeypatch):
-    """Arguments of every energy/gradient call the optimizer makes."""
-    import rieszcap.optimizer as opt
-
-    calls = []
-    counted = opt.riesz_energy_and_gradient
-
-    def counting(X, s, **kwargs):
-        calls.append(s)
-        return counted(X, s, **kwargs)
-
-    monkeypatch.setattr(opt, "riesz_energy_and_gradient", counting)
-    return calls
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("s", [-1.0, 1.0])
+def test_evaluated_trials_are_valid_unit_sets(evaluations, s, threads):
+    # trial sets skip PointSet's copy and norm check: _renormalized's guard
+    # alone keeps every evaluated set valid, rejected trials included
+    res = optimize(
+        random_uniform(2, 24, seed=3),
+        OptimizerConfig(s=s, restarts=3, seed=5, grad_tol=1e-6, step_init=1.0),
+        threads=threads,
+    )
+    assert len(evaluations) == sum(res.restart_evaluations)
+    for X in evaluations:
+        assert type(X) is PointSet and X.d == 2 and X.n == 24
+        assert not X.points.flags.writeable
+        assert np.isfinite(X.points).all()
+        assert np.abs(np.linalg.norm(X.points, axis=1) - 1.0).max() <= NORM_TOL
 
 
 def test_evaluation_economy(evaluations):
