@@ -92,7 +92,7 @@ def roots_of_unity_energy_expansion(s: float, N: int, p: int) -> float:
         front * riemann_zeta(s) * float(N) ** (1.0 + s),
     ]
     if p > 0:
-        alpha = sinc_power_coeffs(s, p).coeffs
+        alpha = sinc_power_coeffs(s, p)
         for n in range(1, p + 1):
             terms.append(
                 front * alpha[n] * riemann_zeta(s - 2 * n) * float(N) ** (1.0 + s - 2 * n)

@@ -313,17 +313,19 @@ def _cmd_predict(params: dict, args) -> list | None:
 
 def _cmd_fit(params: dict, args) -> dict:
     samples = []
+    first_row = None  # the first row that is neither blank nor a comment may be a header
     for lineno, raw in enumerate(_read_text(args.infile).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        first_row = first_row or lineno
         parts = [tok.strip() for tok in line.split(",")]
         if len(parts) < 2:
             raise ParseError(f"expected 'N,value' rows, got {raw!r}", line=lineno)
         try:
             samples.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            if lineno == 1:  # header row
+            if lineno == first_row:
                 continue
             raise ParseError(f"non-numeric row {raw!r}", line=lineno) from None
     return asdict(power_law_fit(samples))
@@ -400,7 +402,7 @@ def _suite_zeta() -> dict:
 
 def _suite_bernoulli() -> dict:
     # alpha_n(-1) zeta(-1-2n) = (-1)^(n+1) B_{2n+2} pi^(2n) / (2n+2)!, all < 0
-    alpha = sinc_power_coeffs(-1.0, 6).coeffs
+    alpha = sinc_power_coeffs(-1.0, 6)
     bern = bernoulli_table(14)
     rows = []
     ok = True

@@ -2,7 +2,7 @@
 
 Formats:
   CSV   one point per row, d+1 float columns, optional header "# d=<d> n=<N>",
-        floats written with repr (round-trip exact).
+        floats written with repr (round-trip exact); the header's d and n are checked.
   JSON  {"d": int, "points": [[...], ...]}.
 """
 
@@ -225,7 +225,7 @@ def loads_pointset(text: str, format: str = "auto") -> PointSet:
 
 def _load_csv(text: str) -> PointSet:
     rows: list[list[float]] = []
-    header_d = None
+    header_d = header_n = None
     ncols = None
     first_data_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -234,11 +234,15 @@ def _load_csv(text: str) -> PointSet:
             continue
         if line.startswith("#"):
             for tok in line[1:].replace(",", " ").split():
-                if tok.startswith("d="):
+                if tok[:2] in ("d=", "n="):
                     try:
-                        header_d = int(tok[2:])
+                        value = int(tok[2:])
                     except ValueError:
                         raise ParseError(f"bad header token {tok!r}", line=lineno) from None
+                    if tok[0] == "d":
+                        header_d = value
+                    else:
+                        header_n = value, lineno
             continue
         try:
             vals = list(map(float, line.split(",")))  # float strips whitespace
@@ -258,6 +262,9 @@ def _load_csv(text: str) -> PointSet:
         rows.append(vals)
     if not rows:
         raise ParseError("no data rows", line=first_data_line)
+    if header_n is not None and header_n[0] != len(rows):
+        n, header_line = header_n
+        raise ParseError(f"header says n={n} but there are {len(rows)} data rows", line=header_line)
     d = header_d if header_d is not None else ncols - 1
     return PointSet(d, np.asarray(rows, dtype=np.float64), norm_tol=INGEST_NORM_TOL)
 

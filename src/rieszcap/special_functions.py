@@ -6,12 +6,15 @@ accumulate in numpy's longdouble (80-bit on x86) because the head sum and the
 pole term cancel catastrophically for negative arguments; see hurwitz_zeta.
 No arbitrary-precision float is used; Gamma quotients at integer and
 half-integer arguments are exact integer ratios, rounded once.
+
+The hexagonal lattice zeta is evaluated only through its factorization
+6 zeta(s/2) L(s/2, chi_-3); the truncated direct lattice sum that checks it
+is a test oracle (tests/oracles.py), not part of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,10 +29,6 @@ EM_MIN_S = -6.0           # Euler-Maclaurin engines answer for s >= this only
 SINC_COEFF_MAX_ORDER = 32
 _HALF_GAMMA_MAX = 2048    # Gamma(k/2) is taken exactly for integers |k| up to this
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
-
-# Hexagonal lattice geometry: unit minimal distance, Gram form m^2 + mn + n^2.
-HEX_CELL_AREA = math.sqrt(3.0) / 2.0
-HEX_COVERING_RADIUS = 1.0 / math.sqrt(3.0)
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -289,117 +288,10 @@ def hex_lattice_zeta(s: float) -> float:
     return 6.0 * riemann_zeta(s / 2.0) * l3
 
 
-@dataclass(frozen=True)
-class LatticeSumResult:
-    """Truncated hexagonal lattice sum with a rigorous tail enclosure.
-
-    value           raw sum over nonzero lattice points with |v| <= radius
-    tail_lower/upper  rigorous enclosure of the omitted tail (s > 2)
-    lattice_points  number of nonzero points included
-    """
-
-    s: float
-    radius: float
-    value: float
-    tail_lower: float
-    tail_upper: float
-    lattice_points: int
-
-    @property
-    def tail_bound(self) -> float:
-        return self.tail_upper
-
-    @property
-    def tail_halfwidth(self) -> float:
-        return 0.5 * (self.tail_upper - self.tail_lower)
-
-    @property
-    def corrected(self) -> float:
-        return self.value + 0.5 * (self.tail_lower + self.tail_upper)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _hex_norms_within(radius: float) -> np.ndarray:
-    # Q(m, n) = m^2 + mn + n^2; |v|^2 = Q in the unit-minimal-distance scaling.
-    # Coordinate box from the dual description: |m|, |n| <= 2 r / sqrt(3).
-    bound = int(math.ceil(2.0 * radius / math.sqrt(3.0))) + 1
-    m = np.arange(-bound, bound + 1)
-    mm, nn = np.meshgrid(m, m, indexing="ij")
-    q = mm * mm + mm * nn + nn * nn
-    q = q[(q > 0) & (q <= radius * radius + 1e-9)]
-    return np.sqrt(q.astype(np.float64))
-
-
-def lattice_sum_direct(s: float, radius: float) -> LatticeSumResult:
-    """Direct sum_{0 != v in hex lattice, |v| <= radius} |v|^(-s), s > 2.
-
-    The omitted tail is enclosed rigorously: the counting function N(r) of
-    nonzero points in the closed ball of radius r satisfies
-    pi (r - rho)^2 / det - 1 <= N(r) <= pi (r + rho)^2 / det for r >= rho
-    (covering radius rho = 1/sqrt(3), cell area det = sqrt(3)/2), and
-    integrating r^(-s) dN(r) by parts over (radius, inf) against those
-    bounds gives tail_lower <= tail <= tail_upper, both O(radius^(2-s)).
-    The midpoint-corrected `corrected` value is accurate to tail_halfwidth.
-    """
-    s = _require_finite("s", s)
-    radius = _require_finite("radius", radius)
-    if s <= 2.0:
-        raise DomainError(f"lattice sum converges only for s > 2, got s={s}")
-    if radius < 1.0:
-        raise DomainError(f"radius must be >= 1 (minimal distance), got {radius}")
-    norms = _hex_norms_within(radius)
-    value = math.fsum(np.power(norms, -s))
-    n_points = int(norms.size)
-
-    # Integration by parts: tail = s int_R^inf N(r) r^(-s-1) dr - N(R) R^(-s),
-    # with N replaced by each area bound; the exact enumerated N(R) anchors
-    # the boundary term on both sides.
-    rho = HEX_COVERING_RADIUS
-    det = HEX_CELL_AREA
-    c = math.pi / det
-    r = radius
-
-    def _bracket(sign: float) -> float:
-        # int_R^inf (r + sign*rho)^2 r^(-s-1) dr expanded termwise.
-        integ = (
-            c
-            * (
-                r ** (2.0 - s) / (s - 2.0)
-                + sign * 2.0 * rho * r ** (1.0 - s) / (s - 1.0)
-                + rho * rho * r ** (-s) / s
-            )
-        )
-        if sign < 0:
-            integ -= r ** (-s) / s  # the "-1" in the lower area bound
-        return s * integ - n_points * r ** (-s)
-
-    tail_upper = _bracket(+1.0)
-    tail_lower = max(_bracket(-1.0), 0.0)  # tail is a sum of positives
-    return LatticeSumResult(
-        s=s,
-        radius=radius,
-        value=value,
-        tail_lower=tail_lower,
-        tail_upper=tail_upper,
-        lattice_points=n_points,
-    )
-
-
 # ----------------------------------------------------------------------------
 # Power series of (sin(pi z)/(pi z))^(-s)
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
-    """Even-power series coefficients: f(z) = sum_n coeffs[n] z^(2n)."""
-
-    s: float
-    coeffs: tuple[float, ...]
-    order: int
-
-
-def sinc_power_coeffs(s: float, p: int) -> SeriesCoeffs:
+def sinc_power_coeffs(s: float, p: int) -> tuple[float, ...]:
     """Taylor coefficients alpha_n(s) of (sin(pi z)/(pi z))^(-s) in z^2, n <= p.
 
     Route: -s log sinc(pi z) = sum_{k>=1} s zeta(2k)/k z^(2k), then
@@ -412,4 +304,4 @@ def sinc_power_coeffs(s: float, p: int) -> SeriesCoeffs:
     alpha = [1.0] + [0.0] * p
     for n in range(1, p + 1):
         alpha[n] = math.fsum(k * c[k] * alpha[n - k] for k in range(1, n + 1)) / n
-    return SeriesCoeffs(s=s, coeffs=tuple(alpha), order=p)
+    return tuple(alpha)

@@ -76,3 +76,49 @@ def weyl_sums_addition(X: PointSet, L: int) -> list[float]:
             p_next /= l + 1
             p_prev, p_cur, p_next = p_cur, p_next, p_prev
     return [(2 * l + 1) / (4.0 * math.pi) * float(sums[l]) / (n * n) for l in range(1, L + 1)]
+
+
+HEX_AT_4 = 7.7111457329048964175  # zeta_hex(4), mpmath at 40 digits
+
+
+def hex_lattice_sum(s: float, radius: float) -> tuple[float, float, float, int]:
+    """Direct sum of |v|^(-s) over the nonzero vectors v of the
+    unit-minimal-distance hexagonal lattice with |v| <= radius, s > 2:
+    the oracle for special_functions.hex_lattice_zeta.
+
+    The shells are counted: r(n) vectors have squared norm n = m^2 + mn + n^2,
+    and the sum is fsum of r(n) n^(-s/2).  Returns (value, tail_lower,
+    tail_upper, points).  The omitted tail lies in [tail_lower, tail_upper]:
+    the number N(r) of nonzero vectors with |v| <= r satisfies
+    pi (r - rho)^2 / det - 1 <= N(r) <= pi (r + rho)^2 / det for r >= rho
+    (covering radius rho = 1/sqrt(3), cell area det = sqrt(3)/2), and the
+    tail s int_R^inf N(r) r^(-s-1) dr - N(R) R^(-s), by parts, is bounded by
+    putting each side in for N(r); both ends are O(radius^(2-s)).
+    """
+    # |m|, |n| <= 2 r / sqrt(3) covers the disc
+    bound = int(math.ceil(2.0 * radius / math.sqrt(3.0))) + 1
+    m = np.arange(-bound, bound + 1)
+    mm, nn = np.meshgrid(m, m, indexing="ij")
+    q = mm * mm + mm * nn + nn * nn
+    counts = np.bincount(q[(q > 0) & (q <= radius * radius + 1e-9)])  # counts[n] = r(n)
+    shells = np.flatnonzero(counts)
+    value = math.fsum(counts[shells] * shells.astype(np.float64) ** (-s / 2.0))
+    points = int(counts.sum())
+
+    rho = 1.0 / math.sqrt(3.0)
+    c = math.pi / (math.sqrt(3.0) / 2.0)
+    R = radius
+
+    def _bracket(sign: float) -> float:
+        # int_R^inf (r + sign*rho)^2 r^(-s-1) dr expanded termwise
+        integ = c * (
+            R ** (2.0 - s) / (s - 2.0)
+            + sign * 2.0 * rho * R ** (1.0 - s) / (s - 1.0)
+            + rho * rho * R ** (-s) / s
+        )
+        if sign < 0:
+            integ -= R ** (-s) / s  # the "-1" in the lower count bound
+        return s * integ - points * R ** (-s)
+
+    # the tail is a sum of positives
+    return value, max(_bracket(-1.0), 0.0), _bracket(+1.0), points

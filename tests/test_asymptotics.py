@@ -152,7 +152,7 @@ def test_predicted_l2_matches_bernoulli_route():
     # coefficients equal 4(-alpha_n(-1) zeta(-1-2n)) term by term
     from rieszcap.special_functions import sinc_power_coeffs
 
-    alpha = sinc_power_coeffs(-1.0, 6).coeffs
+    alpha = sinc_power_coeffs(-1.0, 6)
     for n in range(1, 7):
         via_zeta = 4.0 * (-alpha[n] * riemann_zeta(-1 - 2 * n))
         via_series = predicted_l2_roots_of_unity(1, n) - predicted_l2_roots_of_unity(1, n - 1)

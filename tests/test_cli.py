@@ -375,6 +375,17 @@ def test_fit_bad_row_reports_line(monkeypatch, capsys):
     assert "line 2" in err
 
 
+def test_fit_header_after_comments(monkeypatch, capsys):
+    # the first row that is neither blank nor a comment may be a header
+    text = "# samples\n\nN,value\n16,0.5\n32,0.3\n"
+    code, out, _ = run_cli(["fit"], text, monkeypatch, capsys)
+    assert code == 0
+    assert envelope(out)["result"] == asdict(power_law_fit([(16, 0.5), (32, 0.3)]))
+    code, _, err = run_cli(["fit"], "# samples\n16,0.5\nN,value\n", monkeypatch, capsys)
+    assert code == 1
+    assert "line 3" in err
+
+
 def test_fit_degenerate(monkeypatch, capsys):
     code, _, err = run_cli(["fit"], "4,1.0\n4,2.0\n", monkeypatch, capsys)
     assert code == 1

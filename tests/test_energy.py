@@ -33,11 +33,12 @@ from rieszcap.errors import (
 )
 from rieszcap.pointsets import PointSet, fibonacci_sphere, random_uniform, roots_of_unity
 
+from oracles import HEX_AT_4
+
 mp.mp.dps = 30
 
 # mpmath, 40 digits: (sqrt3/2)^(-1/2) * 6 zeta(-1/2) L3(-1/2)
 C_2_M1 = -0.22525586485046333507
-HEX_AT_4 = 7.7111457329048964175
 
 
 def _clustered(clusters: int, per: int, spread: float, seed: int) -> PointSet:

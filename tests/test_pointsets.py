@@ -361,5 +361,20 @@ def test_unknown_format_is_domain_error():
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# d=2 n=0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="no data rows"):
         read_pointset(str(path))
+
+
+def test_truncated_dump_rejected():
+    # `gen --n 10 | head -5 | disc`: the header still says n=10
+    head = "".join(dumps_pointset(fibonacci_sphere(10)).splitlines(keepends=True)[:5])
+    with pytest.raises(ParseError, match="n=10 but there are 4 data rows") as ei:
+        loads_pointset(head)
+    assert ei.value.line == 1
+
+
+@pytest.mark.parametrize("token", ["n=ten", "n=4.0", "d=two"])
+def test_bad_header_token(token):
+    with pytest.raises(ParseError, match="bad header token") as ei:
+        loads_pointset(f"1.0,0.0\n# {token}\n0.0,1.0\n")
+    assert ei.value.line == 2

@@ -19,11 +19,12 @@ from rieszcap.special_functions import (
     dirichlet_L3,
     hex_lattice_zeta,
     hurwitz_zeta,
-    lattice_sum_direct,
     riemann_zeta,
     sinc_power_coeffs,
     sphere_surface_area,
 )
+
+from oracles import HEX_AT_4, hex_lattice_sum
 
 mp.mp.dps = 40
 
@@ -37,7 +38,6 @@ L3_AT_2 = 0.78130241289648629687
 L3_AT_HALF = 0.48086755769682862618
 L3_AT_MHALF = 0.16806003892587702446
 HEX_AT_3 = 11.034175734914809768
-HEX_AT_4 = 7.7111457329048964175
 HEX_AT_6 = 6.3758815528298469067
 HEX_AT_M1 = -0.20962420237108702148
 LATTICE_10_10 = 6.0314391150419164435
@@ -218,46 +218,48 @@ def test_zeta_range_guard_edge():
 
 def test_hex_zeta_within_direct_sum_tail():
     for s in (3.0, 4.0, 6.0):
-        res = lattice_sum_direct(s, 200.0)
-        z = hex_lattice_zeta(s)
-        gap = z - res.value
-        assert res.tail_lower <= gap <= res.tail_upper, s
-        assert res.tail_upper <= 10.0 * 200.0 ** (2.0 - s)  # O(R^(2-s)) scale
+        value, tail_lower, tail_upper, _ = hex_lattice_sum(s, 200.0)
+        gap = hex_lattice_zeta(s) - value
+        assert tail_lower <= gap <= tail_upper, s
+        assert tail_upper <= 10.0 * 200.0 ** (2.0 - s)  # O(R^(2-s)) scale
 
 
 # ------------------------------------------------------ direct lattice sum
 
 def test_lattice_sum_first_shell():
-    res = lattice_sum_direct(4.0, 1.0)
-    assert res.value == 6.0
-    assert res.lattice_points == 6
+    value, _, _, points = hex_lattice_sum(4.0, 1.0)
+    assert value == 6.0
+    assert points == 6
+
+
+def test_lattice_sum_shell_counts():
+    # r(n) = 6 sum_{d | n} chi_-3(d): zeta_hex(s) = 6 zeta(s/2) L(s/2, chi_-3)
+    # as Dirichlet series.  r(n) is the count within sqrt(n) less that
+    # within sqrt(n - 1).
+    chi = (0, 1, -1)
+    within = [0] + [hex_lattice_sum(4.0, math.sqrt(n))[3] for n in range(1, 401)]
+    for n in range(1, 401):
+        want = 6 * sum(chi[k % 3] for k in range(1, n + 1) if n % k == 0)
+        assert within[n] - within[n - 1] == want, n
 
 
 def test_lattice_sum_frozen_value():
-    res = lattice_sum_direct(10.0, 10.0)
-    assert res.value == pytest.approx(LATTICE_10_10, rel=1e-14)
+    value = hex_lattice_sum(10.0, 10.0)[0]
+    assert value == pytest.approx(LATTICE_10_10, rel=1e-14)
     # dominated by the six unit vectors
-    assert abs(res.value - 6.0) < 0.04
+    assert abs(value - 6.0) < 0.04
 
 
 def test_lattice_sum_corrected_beats_raw():
-    res = lattice_sum_direct(4.0, 200.0)
+    value, tail_lower, tail_upper, _ = hex_lattice_sum(4.0, 200.0)
+    corrected = value + 0.5 * (tail_lower + tail_upper)
     truth = HEX_AT_4
-    assert abs(res.corrected - truth) <= res.tail_halfwidth
-    assert abs(res.corrected - truth) < abs(res.value - truth)
-
-
-def test_lattice_sum_guards():
-    with pytest.raises(DomainError):
-        lattice_sum_direct(2.0, 10.0)
-    with pytest.raises(DomainError):
-        lattice_sum_direct(1.5, 10.0)
-    with pytest.raises(DomainError):
-        lattice_sum_direct(4.0, 0.5)
+    assert abs(corrected - truth) <= 0.5 * (tail_upper - tail_lower)
+    assert abs(corrected - truth) < abs(value - truth)
 
 
 def test_lattice_sum_value_monotone_in_radius():
-    values = [lattice_sum_direct(4.0, r).value for r in (1.0, 2.0, 5.0, 20.0)]
+    values = [hex_lattice_sum(4.0, r)[0] for r in (1.0, 2.0, 5.0, 20.0)]
     assert values == sorted(values)
 
 
@@ -265,34 +267,31 @@ def test_lattice_sum_value_monotone_in_radius():
 
 def test_sinc_coeffs_constant_term():
     for s in (-3.0, -1.0, 0.0, 0.7, 2.0):
-        sc = sinc_power_coeffs(s, 0)
-        assert sc.coeffs == (1.0,)
-        assert sc.order == 0
+        assert sinc_power_coeffs(s, 0) == (1.0,)
 
 
 def test_sinc_coeffs_first_order():
     # alpha_1(s) = s pi^2 / 6
     for s in (-2.0, -1.0, 0.5, 3.0):
-        sc = sinc_power_coeffs(s, 1)
-        assert sc.coeffs[1] == pytest.approx(s * math.pi**2 / 6, rel=1e-13)
-    assert sinc_power_coeffs(-1.0, 1).coeffs[1] == pytest.approx(-math.pi**2 / 6, rel=1e-13)
+        assert sinc_power_coeffs(s, 1)[1] == pytest.approx(s * math.pi**2 / 6, rel=1e-13)
+    assert sinc_power_coeffs(-1.0, 1)[1] == pytest.approx(-math.pi**2 / 6, rel=1e-13)
 
 
 def test_sinc_coeffs_s_minus_one_is_sinc_taylor():
     # At s=-1 the function is sinc itself: alpha_n = (-1)^n pi^(2n) / (2n+1)!
-    sc = sinc_power_coeffs(-1.0, 6)
+    coeffs = sinc_power_coeffs(-1.0, 6)
     for n in range(7):
         want = (-1) ** n * math.pi ** (2 * n) / math.factorial(2 * n + 1)
-        assert sc.coeffs[n] == pytest.approx(want, rel=1e-12), n
+        assert coeffs[n] == pytest.approx(want, rel=1e-12), n
 
 
 def test_sinc_coeffs_product_rule():
     # (sinc)^(-s1) (sinc)^(-s2) = (sinc)^(-(s1+s2)): coefficients convolve.
     p = 6
     for s1, s2 in [(-1.0, -1.0), (2.0, 0.5), (-3.0, 1.5)]:
-        a = sinc_power_coeffs(s1, p).coeffs
-        b = sinc_power_coeffs(s2, p).coeffs
-        c = sinc_power_coeffs(s1 + s2, p).coeffs
+        a = sinc_power_coeffs(s1, p)
+        b = sinc_power_coeffs(s2, p)
+        c = sinc_power_coeffs(s1 + s2, p)
         for n in range(p + 1):
             conv = math.fsum(a[k] * b[n - k] for k in range(n + 1))
             assert c[n] == pytest.approx(conv, rel=1e-11, abs=1e-13), (s1, s2, n)
@@ -302,7 +301,7 @@ def test_sinc_coeff_zeta_product_identity():
     # alpha_n(-1) zeta(-1-2n) = (-1)^(n+1) B_(2n+2) pi^(2n) / (2n+2)!,
     # and every one of these products is negative.
     table = bernoulli_table(8)
-    coeffs = sinc_power_coeffs(-1.0, 6).coeffs
+    coeffs = sinc_power_coeffs(-1.0, 6)
     assert coeffs[1] * riemann_zeta(-3.0) == pytest.approx(-math.pi**2 / 720, rel=1e-12)
     for n in range(1, 7):
         lhs = coeffs[n] * riemann_zeta(-1.0 - 2 * n)
