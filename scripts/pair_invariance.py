@@ -17,11 +17,14 @@ in its own process with one BLAS thread and reports:
     strips share one buffer and repair close pairs: uniform random S^2 at
     N = 600 and 4096, the 4096th roots of unity and uniform random S^3 at
     N = 1000;
-  * the center estimators `l2_cap_discrepancy_direct` and
-    `cap_sup_discrepancy_lower` on the benchmark's `disc_generate(7)`
-    inputs (1024 centers on each S^2 set, 256 on S^3), sigma_d on 201
-    thresholds in [-1, 1] for d = 1..8, and the Weyl sums at L = 64 on
-    the S^2 sets;
+  * every `disc` report, as the JSON text of its `to_json()` (floats
+    written round-trip exact, keys in order), on the benchmark's
+    `disc_generate(7)` inputs: `l2_cap_discrepancy`,
+    `l2_cap_discrepancy_direct` and `cap_sup_discrepancy_lower` (1024
+    centers on each S^2 set, 256 on S^3) on all of them, and `cui_freeden`,
+    `sum_distance_discrepancy`, `leveque_report` and the Weyl sums, both at
+    L = 64, on the S^2 sets; and sigma_d on 201 thresholds in [-1, 1] for
+    d = 1..8;
   * whether `optimize` with three restarts gives the same result with
     threads=1 and threads=3.
 
@@ -73,18 +76,23 @@ def _sums(energy, inputs, values: dict) -> dict:
 
 
 def _estimators(discrepancy, workloads) -> dict:
-    # hex values and digests by "estimator input"
+    # reports and digests by "estimator input"
     inputs = workloads.disc_generate(DISC_SEED)
     cases = [(label, X, workloads.DISC_CENTERS) for label, X in inputs["s2"]]
     cases.append(("s3", inputs["s3"], workloads.DISC_CENTERS_S3))
     out = {}
     for label, X, centers in cases:
-        rep = discrepancy.l2_cap_discrepancy_direct(X, centers, DISC_SEED)
-        out[f"l2-direct {label}"] = [rep.diagnostics["d_squared"].hex(),
-                                     rep.diagnostics["standard_error_d_squared"].hex()]
-        out[f"cap-sup-lower {label}"] = discrepancy.cap_sup_discrepancy_lower(X, centers, DISC_SEED).value.hex()
+        reports = {
+            "l2": discrepancy.l2_cap_discrepancy(X),
+            "l2-direct": discrepancy.l2_cap_discrepancy_direct(X, centers, DISC_SEED),
+            "cap-sup-lower": discrepancy.cap_sup_discrepancy_lower(X, centers, DISC_SEED),
+        }
         if X.d == 2:
+            reports["cui-freeden"] = discrepancy.cui_freeden(X)
+            reports["sum-distance"] = discrepancy.sum_distance_discrepancy(X)
+            reports["leveque"] = discrepancy.leveque_report(X, workloads.DISC_DEGREE)
             out[f"weyl {label}"] = _digest(discrepancy.weyl_sums(X, workloads.DISC_DEGREE))
+        out.update({f"{kind} {label}": json.dumps(rep.to_json()) for kind, rep in reports.items()})
     t = np.linspace(-1.0, 1.0, 201)
     for d in range(1, 9):
         out[f"sigma d={d}"] = _digest(discrepancy._sigma_cap_values(d, t))

@@ -73,18 +73,10 @@ _FILE_FLAGS = {
     "--in": {"dest": "infile", "help": "input file (default: stdin)"},
     "--out": {"help": "write output to PATH instead of stdout"},
     "--config": {"help": "JSON file of parameter overrides"},
-    "--points-out": {"help": "write optimized points (CSV)"},
+    "--points-out": {"help": "write optimized points (JSON to a .json path, else CSV)"},
     "--trace-out": {"help": "write per-iteration trace (CSV)"},
     "--threads": {"type": int, "default": 1, "help": "worker threads (default 1)"},
 }
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,7 +97,7 @@ def _envelope(command: str, params: dict, seed, result, t0: float) -> str:
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "result": result,
     }
-    return json.dumps(blob, indent=2, default=_json_default)
+    return json.dumps(blob, indent=2)
 
 
 def _read_text(path: str | None) -> str:
@@ -207,10 +199,10 @@ def _cmd_gen(params: dict, args) -> None:
         raise ValidationError(f"{kind} generates on S^{on}; --d must be {on}")
     lead = () if on else (2 if d is None else d,)  # random draws on any S^d, S^2 by default
     ps = func(*lead, params["n"], *(params[p] for p in takes))
-    if args.out:
-        write_pointset(ps, args.out, format=params["format"])
+    if args.out:  # without --format, JSON to a .json path and CSV to any other
+        write_pointset(ps, args.out, format=params["format"] or "auto")
     else:
-        sys.stdout.write(dumps_pointset(ps, format=params["format"]))
+        sys.stdout.write(dumps_pointset(ps, format=params["format"] or "csv"))
 
 
 # ----------------------------------------------------------------- energy
@@ -320,7 +312,7 @@ def _cmd_fit(params: dict, args) -> dict:
             continue
         first_row = first_row or lineno
         parts = [tok.strip() for tok in line.split(",")]
-        if len(parts) < 2:
+        if len(parts) != 2:
             raise ParseError(f"expected 'N,value' rows, got {raw!r}", line=lineno)
         try:
             samples.append((float(parts[0]), float(parts[1])))
@@ -446,7 +438,7 @@ _SPEC = {
         "d": (int, None, None),
         "n": (int, REQUIRED, None),
         "seed": (int, 0, None),
-        "format": (_FORMATS, "csv", None),
+        "format": (_FORMATS, None, None),
     },
     "energy": {"s": (float, REQUIRED, None)},
     "disc": {

@@ -58,6 +58,11 @@ def _sqrt_clamped(arg: float, what: str) -> float:
     return math.sqrt(arg)
 
 
+def _d2_report(kind: str, diagnostics: dict) -> DiscrepancyReport:
+    """The report of a D^2 estimator: its value is sqrt(diagnostics["d_squared"])."""
+    return DiscrepancyReport(kind, _sqrt_clamped(diagnostics["d_squared"], kind), diagnostics)
+
+
 # ----------------------------------------------------------------------------
 # cap measure
 
@@ -118,14 +123,8 @@ def l2_cap_discrepancy(X: PointSet) -> DiscrepancyReport:
     D^2 = ratio(d) * (V_{-1}(S^d) - mean distance)."""
     mean = mean_distance(X)
     v = continuous_energy(X.d, -1.0)
-    ratio = ball_sphere_ratio(X.d)
-    dsq = ratio * (v - mean)
-    value = _sqrt_clamped(dsq, "L2CapClosed")
-    return DiscrepancyReport(
-        kind="L2CapClosed",
-        value=value,
-        diagnostics={"d_squared": dsq, "mean_distance": mean, "continuous_energy": v},
-    )
+    dsq = ball_sphere_ratio(X.d) * (v - mean)
+    return _d2_report("L2CapClosed", {"d_squared": dsq, "mean_distance": mean, "continuous_energy": v})
 
 
 # ----------------------------------------------------------------------------
@@ -217,20 +216,14 @@ def l2_cap_discrepancy_direct(X: PointSet, centers: int, seed) -> DiscrepancyRep
     (see _direct_dsq_per_center)."""
     C = sample_centers(X.d, centers, seed)
     per = _direct_dsq_per_center(X, C)
-    dsq = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(centers)) if centers > 1 else None
-    value = _sqrt_clamped(dsq, "L2CapDirect")
-    return DiscrepancyReport(
-        kind="L2CapDirect",
-        value=value,
-        diagnostics={
-            "centers": int(centers),
-            "seed": seed,
-            "d_squared": dsq,
-            "standard_error_d_squared": se,
-            "d_squared_floor": DIRECT_DSQ_FLOOR,
-        },
-    )
+    return _d2_report("L2CapDirect", {
+        "centers": int(centers),
+        "seed": seed,
+        "d_squared": float(per.mean()),
+        "standard_error_d_squared": se,
+        "d_squared_floor": DIRECT_DSQ_FLOOR,
+    })
 
 
 # ----------------------------------------------------------------------------
@@ -257,25 +250,14 @@ def cui_freeden(X: PointSet) -> DiscrepancyReport:
     total, _ = _pair_sums(_unit_points(X), _cui_freeden_kernel, coincident_error=False)
     kernel_mean = total / (X.n * X.n)
     dsq = (1.0 - kernel_mean) / (4.0 * math.pi)
-    value = _sqrt_clamped(dsq, "CuiFreeden")
-    return DiscrepancyReport(
-        kind="CuiFreeden",
-        value=value,
-        diagnostics={"d_squared": dsq, "kernel_mean": kernel_mean},
-    )
+    return _d2_report("CuiFreeden", {"d_squared": dsq, "kernel_mean": kernel_mean})
 
 
 def sum_distance_discrepancy(X: PointSet) -> DiscrepancyReport:
     """D^2 = 4/3 - mean distance on S^2 (equals 4 * L2 cap D^2)."""
     _require_s2(X, "SumDistance")
     mean = mean_distance(X)
-    dsq = 4.0 / 3.0 - mean
-    value = _sqrt_clamped(dsq, "SumDistance")
-    return DiscrepancyReport(
-        kind="SumDistance",
-        value=value,
-        diagnostics={"d_squared": dsq, "mean_distance": mean},
-    )
+    return _d2_report("SumDistance", {"d_squared": 4.0 / 3.0 - mean, "mean_distance": mean})
 
 
 # ----------------------------------------------------------------------------

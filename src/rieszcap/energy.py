@@ -17,8 +17,9 @@ Conventions fixed here once:
   * Gradients: every weight of a strip, its own square's and the columns
     after it, reaches one accumulator sum_k W_jk (x_k, 1) through a GEMM
     against the rows [x, 1], for every N.
-  * Reductions: each strip row is summed by numpy's pairwise tree and the
-    row totals by math.fsum.  The strip order is fixed, so results are
+  * Reductions: each strip row is summed by numpy's pairwise tree, and all
+    row sums go into one math.fsum, which rounds their exact sum once and so
+    depends neither on their order nor on the strip layout.  Results are
     bitwise deterministic for fixed N and BLAS; for N^2 <= _BLOCK one strip
     holds the whole matrix.
 """
@@ -66,8 +67,6 @@ class _Walk:
         height = max(1, _BLOCK // n)
         buf = np.empty(min(height, n) * n)  # each strip's r^2, then K
         wbuf = np.empty(buf.size) if grad else None  # each strip's W
-        # square row sums, then 2x those of k >= hi: the last strip has none, so its stay 0
-        self.rows = np.zeros(2 * n if n > height else n)
         if grad:
             # acc_j = sum_k W_jk (x_k, 1).  Its own [x, 1] rather than `left`:
             # against five columns OpenBLAS rounded the x sums up to 6x worse
@@ -82,7 +81,6 @@ class _Walk:
             self.strips.append((lo, hi, hi - lo, strip, strip.reshape(hi - lo, n - lo), wflat,
                                 wflat.reshape(hi - lo, n - lo) if grad else None,
                                 slice(None, None, n - lo + 1)))
-        self.kernel = (None, None)  # s and _riesz_kernel(s) of the last Riesz call
 
 
 def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False, walk=None):
@@ -102,7 +100,7 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
     walk = _Walk(n, m, grad) if walk is None else walk
     if walk.shape != (n, m, grad):
         raise ValidationError(f"walk built for (n, m, grad) = {walk.shape}, called with {(n, m, grad)}")
-    left, right, rows = walk.left, walk.right, walk.rows
+    left, right = walk.left, walk.right
     np.einsum("ij,ij->i", pts, pts, out=right[m + 1])
     left[:, :m] = pts
     left[:, m] = right[m + 1]
@@ -111,6 +109,7 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
         aug, acc = walk.aug, walk.acc
         aug[:, :m] = pts
         acc.fill(0.0)
+    sums = []  # each strip's square row sums and 2x its row sums over k >= hi
     for lo, hi, h, strip, r2, wflat, w, diag in walk.strips:
         np.matmul(left[lo:hi], right[:, lo:], out=r2)
         strip[diag] = 1.0
@@ -126,9 +125,9 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
                 raise CoincidentPointsError(f"pair distance {r:.3g} below {COINCIDENCE_TOL:g}")
         kernel(r2, w)
         strip[diag] = 0.0
-        rows[lo:hi] = r2[:, :h].sum(axis=1)
+        sums += r2[:, :h].sum(axis=1).tolist()
         if hi < n:
-            rows[n + lo : n + hi] = 2.0 * r2[:, h:].sum(axis=1)
+            sums += (2.0 * r2[:, h:].sum(axis=1)).tolist()
         if grad:
             wflat[diag] = 0.0
             acc[lo:hi] += w @ aug[lo:]
@@ -140,7 +139,7 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
         g = acc[:, m:] * pts
         g -= acc[:, :m]
         g *= 2.0
-    return math.fsum(rows.tolist()), g
+    return math.fsum(sums), g
 
 
 def _riesz_kernel(s: float):
@@ -190,10 +189,7 @@ def riesz_energy_and_gradient(X: PointSet, s: float, *, _walk=None) -> tuple[flo
     """
     s = _require_finite("s", s)
     pts = X.points
-    walk = _Walk(*pts.shape, True) if _walk is None else _walk
-    if walk.kernel[0] != s:
-        walk.kernel = (s, _riesz_kernel(s))
-    total, grad = _pair_sums(pts, walk.kernel[1], coincident_error=s > -2.0, grad=True, walk=walk)
+    total, grad = _pair_sums(pts, _riesz_kernel(s), coincident_error=s > -2.0, grad=True, walk=_walk)
     grad -= np.einsum("ij,ij->i", grad, pts)[:, None] * pts
     return total, grad
 

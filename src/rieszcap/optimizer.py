@@ -28,12 +28,14 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
 from .energy import _Walk, riesz_energy_and_gradient
 from .errors import ValidationError, _require_int
 from .pointsets import PointSet, _unit_rows, random_uniform
+from .special_functions import _require_finite
 
 STEP_STALL = 1e-17  # backtracked step below this means float plateau
 _GROWTH = 2.0
@@ -52,11 +54,12 @@ class OptimizerConfig:  # also the optimize command's flags, defaults and their 
     step_init: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", _require_finite("s", self.s))
         # finite: an infinite step_init never halves below STEP_STALL
         for name in ("grad_tol", "step_init"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
+                raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
         for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), minimum))
 

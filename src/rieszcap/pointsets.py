@@ -227,7 +227,6 @@ def _load_csv(text: str) -> PointSet:
     rows: list[list[float]] = []
     header_d = header_n = None
     ncols = None
-    first_data_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -250,7 +249,6 @@ def _load_csv(text: str) -> PointSet:
             raise ParseError(f"non-numeric entry in {line!r}", line=lineno) from None
         if ncols is None:
             ncols = len(vals)
-            first_data_line = lineno
             if ncols < 2:
                 raise ParseError(f"need at least 2 columns, got {ncols}", line=lineno)
             if header_d is not None and ncols != header_d + 1:
@@ -261,7 +259,7 @@ def _load_csv(text: str) -> PointSet:
             raise ParseError(f"expected {ncols} columns, got {len(vals)}", line=lineno)
         rows.append(vals)
     if not rows:
-        raise ParseError("no data rows", line=first_data_line)
+        raise ParseError("no data rows")
     if header_n is not None and header_n[0] != len(rows):
         n, header_line = header_n
         raise ParseError(f"header says n={n} but there are {len(rows)} data rows", line=header_line)

@@ -79,6 +79,17 @@ def test_gen_json_format(monkeypatch, capsys):
     assert ps.n == 5
 
 
+@pytest.mark.parametrize("fmt", [None, "csv"])
+def test_gen_out_format_follows_name(fmt, tmp_path, monkeypatch, capsys):
+    # without --format a .json path gets JSON; --format csv still writes CSV there
+    path = tmp_path / "pts.json"
+    argv = ["gen", "--kind", "fibonacci", "--n", "20", "--out", str(path)]
+    code, out, _ = run_cli(argv + (["--format", fmt] if fmt else []), None, monkeypatch, capsys)
+    assert code == 0 and out == ""
+    assert path.read_text() == dumps_pointset(fibonacci_sphere(20), fmt or "json")
+    assert np.array_equal(read_pointset(str(path)).points, fibonacci_sphere(20).points)
+
+
 def test_gen_dimension_mismatch_rejected(monkeypatch, capsys):
     code, _, err = run_cli(
         ["gen", "--kind", "roots-of-unity", "--n", "5", "--d", "2"], None, monkeypatch, capsys
@@ -373,6 +384,15 @@ def test_fit_bad_row_reports_line(monkeypatch, capsys):
     code, _, err = run_cli(["fit"], "4,1.0\nbroken\n", monkeypatch, capsys)
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text,line", [("16,0.5,9\n32,0.3,x\n", 1),
+                                       ("N,value\n16,0.5\n32,0.3,9\n", 3),
+                                       ("N,value,note\n16,0.5\n32,0.3\n", 1)])
+def test_fit_row_with_more_fields_rejected(text, line, monkeypatch, capsys):
+    code, _, err = run_cli(["fit"], text, monkeypatch, capsys)
+    assert code == 1
+    assert f"line {line}: expected 'N,value' rows" in err
 
 
 def test_fit_header_after_comments(monkeypatch, capsys):

@@ -321,7 +321,7 @@ def test_walk_reused_after_coincident_points_error(monkeypatch):
 def test_walk_of_another_shape_is_refused_before_use():
     walk = energy_mod._Walk(64, 3, True)
     _walk_matches_fresh(walk, random_uniform(2, 64, 5), -1.0)
-    buffers = [a.copy() for a in (walk.left, walk.right, walk.rows, walk.aug, walk.acc)]
+    buffers = [a.copy() for a in (walk.left, walk.right, walk.aug, walk.acc)]
     kernel = energy_mod._riesz_kernel(-1.0)
     for pts, grad in ((random_uniform(2, 63, 6).points, True),
                       (random_uniform(3, 64, 6).points, True),
@@ -333,7 +333,7 @@ def test_walk_of_another_shape_is_refused_before_use():
     with pytest.raises(ValidationError):
         energy_mod._pair_sums(random_uniform(2, 64, 6).points, kernel, True, True,
                               energy_mod._Walk(64, 3, False))
-    after = (walk.left, walk.right, walk.rows, walk.aug, walk.acc)
+    after = (walk.left, walk.right, walk.aug, walk.acc)
     assert all(np.array_equal(a, b) for a, b in zip(buffers, after))
 
 

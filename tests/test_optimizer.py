@@ -59,13 +59,19 @@ def test_config_maximize_autoresolve():
         {"step_init": 0.0},
         {"grad_tol": math.inf},
         {"step_init": math.inf},
+        {"s": math.inf},
+        {"s": math.nan},
+        {"grad_tol": "1e-6"},
+        {"step_init": None},
+        {"grad_tol": True},
     ],
 )
 def test_config_field_validation(kwargs):
-    # integer fields are checked by errors._require_int, the float fields here
-    expected = DomainError if kwargs.keys() & {"max_iters", "restarts"} else ValidationError
+    # integer fields and s are checked by _require_int and _require_finite,
+    # the float fields here
+    expected = DomainError if kwargs.keys() & {"max_iters", "restarts", "s"} else ValidationError
     with pytest.raises(expected):
-        OptimizerConfig(s=-1.0, **kwargs)
+        OptimizerConfig(**{"s": -1.0, **kwargs})
 
 
 # ---------------------------------------------------------------- optimize
