@@ -1,5 +1,5 @@
 """Check that two rieszcap source trees give bitwise equal pair sums, probe
-iterates and discrepancy estimators.
+iterates, discrepancy estimators and command-line output.
 
     python3 scripts/pair_invariance.py REF_SRC [--src SRC]
 
@@ -26,14 +26,22 @@ in its own process with one BLAS thread and reports:
     L = 64, on the S^2 sets; and sigma_d on 201 thresholds in [-1, 1] for
     d = 1..8;
   * whether `optimize` with three restarts gives the same result with
-    threads=1 and threads=3.
+    threads=1 and threads=3;
+  * the exit code, stdout, stderr and written files of each command line in
+    CLI_CASES, run as `python -m rieszcap` in a fresh directory: every
+    subcommand, every --help, --version and the error cases of
+    tests/test_cli.py.  `wall_time_s` and the directory's path are masked.
+    A final newline after JSON that only one tree writes is listed apart
+    and not counted as a difference: JSON point sets gained one.
 
-The script prints both reports and one JSON line with the verdict, and
-exits 0 when everything is bitwise equal and threads agree, 1 otherwise.
+The script prints both reports (without the CLI outputs) and one JSON line
+with the verdict, and exits 0 when everything is bitwise equal and threads
+agree, 1 otherwise.
 When bits differ it prints one more JSON line with how far they moved: the
 largest relative energy difference and the largest gradient difference
 over max|g| on both grids, the probe iteration and evaluation counts of
-both trees side by side, and the estimator entries that differ.
+both trees side by side, and the estimator entries and command lines that
+differ.
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
 """
@@ -44,8 +52,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +67,167 @@ GRID_S = (-1.0, 0.0, 0.5, 2.0)
 # (label, d, N) of the multi-strip inputs; "roots" is roots_of_unity(N)
 MULTI_STRIP = (("S2", 2, 600), ("S2", 2, 4096), ("roots", 1, 4096), ("S3", 3, 1000))
 DISC_SEED = 7
+
+# stdin texts of the CLI cases.  A tuple is a pointsets constructor and its
+# arguments, written as CSV, whose bytes both trees share.
+CLI_STDIN = {
+    "s2": ("fibonacci_sphere", 40),
+    "s2-small": ("fibonacci_sphere", 12),
+    "s3": ("random_uniform", 3, 30, 2),
+    "s1": ("roots_of_unity", 16),
+    "tiny": ("roots_of_unity", 3),
+    "json": '{"d": 2, "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]}',
+    "json-strings": '{"d": 2, "points": [["a", "b", "c"]]}',
+    "json-object": '{"d": 2, "points": [[1, 0, {}]]}',
+    "empty": "",
+    "fit": "16,0.5\n32,0.3\n64,0.2\n128,0.11\n",
+    "fit-header": "N,value\n16,0.5\n32,0.3\n64,0.2\n",
+    "fit-broken": "4,1.0\nbroken\n",
+    "fit-three": "16,0.5,9\n32,0.3,x\n",
+    "fit-late-header": "# samples\n16,0.5\nN,value\n",
+    "fit-degenerate": "4,1.0\n4,2.0\n",
+}
+# files written to {tmp} before each case, in the same form
+CLI_FILES = {
+    "pts.csv": CLI_STDIN["s2"],
+    "fit.csv": CLI_STDIN["fit"],
+    "broken.json": "{not json",
+    "list.json": "[1, 2]",
+    **{f"{name}.json": json.dumps(config) for name, config in {
+        "gen": {"kind": "roots-of-unity", "n": 6},
+        "gen-bogus": {"kind": "roots-of-unity", "n": 6, "bogus": 1},
+        "gen-n-str": {"kind": "roots-of-unity", "n": "abc"},
+        "gen-n-float": {"kind": "roots-of-unity", "n": 3.7},
+        "gen-n-bool": {"kind": "roots-of-unity", "n": True},
+        "gen-kind-obj": {"kind": {"a": 1}},
+        "gen-other-kind": {"kind": "fibonacci", "n": 4, "seed": 3},
+        "energy-s-str": {"s": "xml"},
+        "disc-kind-str": {"kind": "xml"},
+        "disc-kind-list": {"kind": ["l2"]},
+        "optimize": {"s": -1},
+        "verify-suite-list": {"suite": ["constants"]},
+    }.items()},
+}
+# command line (shlex syntax; {tmp} is the case's directory), stdin key or None
+CLI_CASES = [
+    ("", None), ("--help", None), ("-h", None), ("--version", None), ("no-such-command", None),
+    *((f"{command} --help", None)
+      for command in ("gen", "energy", "disc", "optimize", "constants", "predict", "fit", "verify")),
+    # gen
+    ("gen --kind roots-of-unity --n 8", None),
+    ("gen --kind random --n 5 --seed 3", None),
+    ("gen --kind random --d 4 --n 5", None),
+    ("gen --kind fibonacci --n 12", None),
+    ("gen --kind hammersley-sphere --n 16", None),
+    ("gen --kind fibonacci --n 6 --format json", None),
+    ("gen --kind roots-of-unity --n 5 --format csv", None),
+    ("gen --kind fibonacci --n 6 --out {tmp}/out.json", None),
+    ("gen --kind fibonacci --n 6 --out {tmp}/out.csv", None),
+    ("gen --kind fibonacci --n 6 --format csv --out {tmp}/out.json", None),
+    ("gen --kind fibonacci --n 6 --format json --out {tmp}/out.txt", None),
+    ("gen --n 5", None),
+    ("gen --kind roots-of-unity --n 5 --d 2", None),
+    ("gen --kind fibonacci --n 5 --d 3", None),
+    ("gen --kind hammersley-sphere --n 6", None),
+    ("gen --kind random --n 3 --seed -1", None),
+    ("gen --kind fibonacci --n 4 --seed 3", None),
+    ("gen --kind nope --n 3", None),
+    ("gen --kind random --n 0", None),
+    ("gen --kind fibonacci --n 4 --format xml", None),
+    ("gen --config {tmp}/gen.json", None),
+    ("gen --config {tmp}/gen.json --n 9", None),
+    ("gen --config {tmp}/gen-bogus.json", None),
+    ("gen --config {tmp}/gen-n-str.json", None),
+    ("gen --config {tmp}/gen-n-float.json", None),
+    ("gen --config {tmp}/gen-n-bool.json", None),
+    ("gen --config {tmp}/gen-kind-obj.json", None),
+    ("gen --config {tmp}/gen-other-kind.json", None),
+    ("gen --config {tmp}/broken.json", None),
+    ("gen --config {tmp}/list.json", None),
+    ("gen --config {tmp}/missing.json", None),
+    # energy
+    ("energy --s -1", "s2"),
+    ("energy --s 0.5", "s2"),
+    ("energy --s 3.0", "s2"),
+    ("energy --s 0", "s1"),
+    ("energy --s -1", "json"),
+    ("energy", "s2"),
+    ("energy --s -1 --format csv", "s2"),
+    ("energy --config {tmp}/energy-s-str.json", "tiny"),
+    # disc
+    ("disc --kind l2", "s2"),
+    ("disc --kind l2-direct --centers 64", "s2"),
+    ("disc --kind cui-freeden", "s2"),
+    ("disc --kind sum-distance", "s2"),
+    ("disc --kind cap-sup-lower --centers 64", "s2"),
+    ("disc --kind leveque --degree 8", "s2"),
+    ("disc --kind weyl --degree 6", "s2"),
+    ("disc --kind l2", "s3"),
+    ("disc --kind l2", "s1"),
+    ("disc --kind l2-direct --centers 32 --seed 2", "s3"),
+    ("disc --kind l2", "json"),
+    ("disc --kind l2 --in {tmp}/pts.csv --out {tmp}/disc.json", None),
+    ("disc --kind weyl", "s3"),
+    ("disc --kind l2", "empty"),
+    ("disc --kind l2", "json-strings"),
+    ("disc --kind l2", "json-object"),
+    ("disc --kind no-such-kind", "tiny"),
+    ("disc --threads 2", "tiny"),
+    ("disc --kind l2-direct --seed -1", "tiny"),
+    ("disc --kind l2 --degree 6", "tiny"),
+    ("disc --kind weyl --seed 3", "tiny"),
+    ("disc --kind l2 --in {tmp}/missing.csv", None),
+    ("disc --format json", "tiny"),
+    ("disc --config {tmp}/disc-kind-str.json", "tiny"),
+    ("disc --config {tmp}/disc-kind-list.json", "tiny"),
+    # optimize
+    ("optimize --s -1", "s2-small"),
+    ("optimize --s -1 --points-out {tmp}/best.json --trace-out {tmp}/trace.csv", "s2-small"),
+    ("optimize --s -1 --points-out {tmp}/best.csv", "s2-small"),
+    ("optimize --s 1 --restarts 3 --seed 4 --threads 2 --max-iters 300", "s2-small"),
+    ("optimize --config {tmp}/optimize.json", "tiny"),
+    ("optimize", "tiny"),
+    ("optimize --s -1 --threads 0", "tiny"),
+    ("optimize --s -1 --seed -1", "tiny"),
+    ("optimize --s inf", "tiny"),
+    ("optimize --s abc", "tiny"),
+    ("optimize --s -1 --grad-tol 0", "tiny"),
+    ("optimize --s -1 --points-out {tmp}/no/such/dir/best.json", "tiny"),
+    ("optimize --s -1 --trace-out {tmp}/no/such/dir/trace.csv", "tiny"),
+    ("optimize --s -1 --format csv", "tiny"),
+    # constants
+    ("constants", None),
+    ("constants --name A2", None),
+    ("constants --name nope", None),
+    ("constants --out {tmp}/constants.json", None),
+    ("constants --out {tmp}/no/such/dir/x.json", None),
+    ("constants --format json", None),
+    # predict
+    ("predict --ns 2,4,8 --p 1", None),
+    ("predict --ns 4,8 --format json", None),
+    ("predict --out {tmp}/predict.csv", None),
+    ("predict --ns a,b", None),
+    ("predict --ns ,", None),
+    # fit
+    ("fit", "fit"),
+    ("fit --in {tmp}/fit.csv", None),
+    ("fit", "fit-header"),
+    ("fit", "fit-broken"),
+    ("fit", "fit-three"),
+    ("fit", "fit-late-header"),
+    ("fit", "fit-degenerate"),
+    ("fit --in {tmp}/missing.csv", None),
+    # verify
+    ("verify --suite stolarsky --d 2 --n 50 --seed 1", None),
+    ("verify --suite stolarsky --d 1 --n 30 --seed 2", None),
+    ("verify --suite constants", None),
+    ("verify --suite zeta", None),
+    ("verify --suite bernoulli", None),
+    ("verify --suite stolarsky --seed -1", None),
+    ("verify --suite zeta --n 10", None),
+    ("verify", None),
+    ("verify --config {tmp}/verify-suite-list.json", None),
+]
 
 
 def _digest(a) -> str:
@@ -97,6 +269,50 @@ def _estimators(discrepancy, workloads) -> dict:
     for d in range(1, 9):
         out[f"sigma d={d}"] = _digest(discrepancy._sigma_cap_values(d, t))
     return out
+
+
+def _cli_outputs(pointsets) -> dict:
+    """Each CLI case's exit code, stdout, stderr and the files it wrote, masked."""
+    def text(val) -> str:
+        return val if isinstance(val, str) else pointsets.dumps_pointset(getattr(pointsets, val[0])(*val[1:]))
+
+    stdin = {key: text(val) for key, val in CLI_STDIN.items()}
+    files = {name: text(val) for name, val in CLI_FILES.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(pointsets.__file__).resolve().parents[1]))  # this tree
+    out = {}
+    for line, key in CLI_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                Path(tmp, name).write_text(content, encoding="utf-8")
+            proc = subprocess.run([sys.executable, "-m", "rieszcap", *shlex.split(line.format(tmp=tmp))],
+                                  input="" if key is None else stdin[key], capture_output=True, text=True,
+                                  cwd=tmp, env=env, timeout=300)
+
+            def mask(text: str) -> str:
+                return re.sub(r'"wall_time_s": [-+.e0-9]+', '"wall_time_s": "*"', text.replace(tmp, "{tmp}"))
+
+            written = {path.name: mask(path.read_text(encoding="utf-8"))
+                       for path in sorted(Path(tmp).iterdir()) if path.name not in files}
+            out[f"{line} <{key}"] = {"exit": proc.returncode, "stdout": mask(proc.stdout),
+                                     "stderr": mask(proc.stderr), "files": written}
+    return out
+
+
+def _cli_compare(ref: dict, new: dict) -> tuple[list, list]:
+    """The CLI cases that differ, and those that differ only by a final
+    newline after JSON text that one tree writes."""
+    def strip(case: dict) -> dict:
+        def one(text: str) -> str:
+            return text.removesuffix("\n") if text.endswith("}\n") else text
+
+        return {**case, "stdout": one(case["stdout"]),
+                "files": {name: one(text) for name, text in case["files"].items()}}
+
+    differ, newline_only = [], []
+    for label, case in ref.items():
+        if new[label] != case:
+            (newline_only if strip(new[label]) == strip(case) else differ).append(label)
+    return differ, newline_only
 
 
 def report() -> dict:
@@ -142,11 +358,12 @@ def report() -> dict:
     )
     return {"probe": probe, "grid": grid, "multi_strip": multi,
             "estimators": _estimators(discrepancy, workloads), "threads_1_vs_3_equal": same,
-            "values": values}
+            "values": values, "cli": _cli_outputs(pointsets)}
 
 
 def moved(ref: dict, new: dict) -> dict:
-    """How far the grid values and the probe iteration and evaluation counts moved."""
+    """How far the grid values and the probe iteration and evaluation counts
+    moved, and which estimators and CLI cases differ."""
     rel_e, rel_g = 0.0, 0.0
     for key, a in ref["values"].items():
         b = new["values"][key]
@@ -163,11 +380,13 @@ def moved(ref: dict, new: dict) -> dict:
             for p, q in zip(ref["probe"], new["probe"])
         ],
         "estimators_differing": [k for k, v in ref["estimators"].items() if new["estimators"][k] != v],
+        "cli_differing": _cli_compare(ref["cli"], new["cli"])[0],
     }
 
 
 def _run(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src),
+    # no bytecode cache is left in either tree: a timed run there would read it
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, __file__, "--report"], env=env, check=True,
                          capture_output=True, text=True, timeout=600).stdout
@@ -186,7 +405,7 @@ def main(argv=None) -> int:
     if args.ref is None:
         parser.error("REF_SRC is required")
     ref, new = _run(args.ref.resolve()), _run(args.src.resolve())
-    shown = {tree: {k: v for k, v in rep.items() if k != "values"}
+    shown = {tree: {k: v for k, v in rep.items() if k not in ("values", "cli")}
              for tree, rep in (("ref", ref), ("src", new))}
     print(json.dumps(shown, indent=1))
     verdict = {
@@ -198,8 +417,12 @@ def main(argv=None) -> int:
         "evaluations": [p["evaluations"] for p in new["probe"]],
         "threads_1_vs_3_equal": new["threads_1_vs_3_equal"],
     }
+    cli_differing, verdict["cli_json_newline_only"] = _cli_compare(ref["cli"], new["cli"])
+    verdict["cli_equal"] = not cli_differing
+    verdict["cli_cases"] = len(new["cli"])
     print(json.dumps(verdict))
-    equal = all(verdict[k] for k in ("probe_equal", "grid_equal", "multi_strip_equal", "estimators_equal"))
+    equal = all(verdict[k] for k in ("probe_equal", "grid_equal", "multi_strip_equal", "estimators_equal",
+                                     "cli_equal"))
     if not equal:
         print(json.dumps(moved(ref, new)))
     ok = equal and verdict["threads_1_vs_3_equal"]

@@ -5,6 +5,10 @@ verify.  Point sets flow between commands as CSV or JSON on stdin/stdout or
 through --in/--out paths, so `gen ... | disc ...` and file-based runs give
 identical results.  Exit codes: 0 success, 1 input/validation problem,
 2 numerical-contract violation (including a failed verify suite).
+
+A process loads only what its command runs: each handler imports the
+package modules it calls when it runs, and build_parser adds flags only to
+the command named on the command line.  `gen` needs only `pointsets`.
 """
 
 from __future__ import annotations
@@ -19,29 +23,7 @@ from dataclasses import MISSING, asdict, fields
 import numpy as np
 
 from . import __version__
-from .asymptotics import (
-    _CLOSED_FORMS,
-    conjectured_A,
-    conjectured_C,
-    power_law_fit,
-    predicted_l2_roots_of_unity,
-)
-from .discrepancy import (
-    cap_sup_discrepancy_lower,
-    cui_freeden,
-    l2_cap_discrepancy,
-    l2_cap_discrepancy_direct,
-    leveque_report,
-    sum_distance_discrepancy,
-    weyl_sums,
-)
-from .energy import (
-    ball_sphere_ratio,
-    continuous_energy,
-    energy_report,
-)
 from .errors import InputError, NumericalContractError, ParseError, ValidationError, _require_int
-from .optimizer import OptimizerConfig, optimize
 from .pointsets import (
     PointSet,
     dumps_pointset,
@@ -52,13 +34,6 @@ from .pointsets import (
     random_uniform,
     roots_of_unity,
     write_pointset,
-)
-from .special_functions import (
-    bernoulli_table,
-    dirichlet_L3,
-    hurwitz_zeta,
-    riemann_zeta,
-    sinc_power_coeffs,
 )
 
 A2_DIGITS = 0.44679728350408  # published 14-digit value
@@ -132,7 +107,7 @@ def _config_value(command: str, key: str, kind, value):
 def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     """Spec defaults, then --config overrides, then explicit flags.  A
     parameter that only other kinds take is dropped; setting it is an error."""
-    spec = _SPEC[command]
+    spec = _spec(command)
     params = {key: default for key, (_, default, _) in spec.items()}
     given = set()
     if args.config:
@@ -171,9 +146,10 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 
 
 # Handlers take the resolved, typed params and return the result for main to
-# wrap in the JSON envelope, or None when they wrote their own output.  Kind
-# tables: kind -> (the function it calls, the parameters only it takes, in
-# order, and for gen the one d the kind generates on).
+# wrap in the JSON envelope, or None when they wrote their own output.  They
+# import the modules they call.  Kind tables: kind -> (the function it calls,
+# the parameters only it takes, in order, and for gen the one d the kind
+# generates on).
 
 # ------------------------------------------------------------------- gen
 
@@ -208,36 +184,51 @@ def _cmd_gen(params: dict, args) -> None:
 # ----------------------------------------------------------------- energy
 
 def _cmd_energy(params: dict, args) -> dict:
+    from .energy import energy_report
+
     X = _read_points(args.infile)
     return energy_report(X, params["s"]).to_json()
 
 
 # ------------------------------------------------------------------- disc
 
-def _weyl(X: PointSet, degree: int) -> dict:
-    return {"kind": "Weyl", "degree": degree, "values": weyl_sums(X, degree)}
-
-
+# each function by its name in discrepancy
 _DISC_KINDS = {
-    "l2": (l2_cap_discrepancy, ()),
-    "l2-direct": (l2_cap_discrepancy_direct, ("centers", "seed")),
-    "cui-freeden": (cui_freeden, ()),
-    "sum-distance": (sum_distance_discrepancy, ()),
-    "cap-sup-lower": (cap_sup_discrepancy_lower, ("centers", "seed")),
-    "leveque": (leveque_report, ("degree",)),
-    "weyl": (_weyl, ("degree",)),
+    "l2": ("l2_cap_discrepancy", ()),
+    "l2-direct": ("l2_cap_discrepancy_direct", ("centers", "seed")),
+    "cui-freeden": ("cui_freeden", ()),
+    "sum-distance": ("sum_distance_discrepancy", ()),
+    "cap-sup-lower": ("cap_sup_discrepancy_lower", ("centers", "seed")),
+    "leveque": ("leveque_report", ("degree",)),
+    "weyl": ("weyl_sums", ("degree",)),
 }
 
 
 def _cmd_disc(params: dict, args) -> dict:
-    func, takes = _DISC_KINDS[params["kind"]]
-    result = func(_read_points(args.infile), *(params[p] for p in takes))
-    return result if isinstance(result, dict) else result.to_json()
+    from . import discrepancy
+
+    name, takes = _DISC_KINDS[params["kind"]]
+    result = getattr(discrepancy, name)(_read_points(args.infile), *(params[p] for p in takes))
+    if isinstance(result, list):  # the Weyl sums S_1..S_L
+        return {"kind": "Weyl", "degree": params["degree"], "values": result}
+    return result.to_json()
 
 
 # --------------------------------------------------------------- optimize
 
+def _optimize_spec() -> dict:
+    """OptimizerConfig's fields, in order; s, the one without a default, is a float."""
+    from .optimizer import OptimizerConfig
+
+    return {
+        f.name: (float, REQUIRED, None) if f.default is MISSING else (type(f.default), f.default, None)
+        for f in fields(OptimizerConfig)
+    }
+
+
 def _cmd_optimize(params: dict, args) -> dict:
+    from .optimizer import OptimizerConfig, optimize
+
     X0 = _read_points(args.infile)
     cfg = OptimizerConfig(**params)
     res = optimize(X0, cfg, keep_trace=args.trace_out is not None, threads=args.threads)
@@ -253,6 +244,9 @@ def _cmd_optimize(params: dict, args) -> dict:
 def _constant_registry() -> dict:
     """name -> value, status, formula and role: A_d, V_{-1}(S^d), ratio(d) and
     C_{-1,d} for each d of the closed-form table, and V_{-1}(S^3)."""
+    from .asymptotics import _CLOSED_FORMS, conjectured_A, conjectured_C
+    from .energy import ball_sphere_ratio, continuous_energy
+
     def row(value, status, formula, role):
         return {"value": value, "status": status, "formula": formula, "role": role}
 
@@ -284,6 +278,9 @@ def _cmd_constants(params: dict, args) -> dict | list:
 # ---------------------------------------------------------------- predict
 
 def _cmd_predict(params: dict, args) -> list | None:
+    from .asymptotics import predicted_l2_roots_of_unity
+    from .discrepancy import l2_cap_discrepancy
+
     try:
         ns = [int(tok) for tok in params["ns"].split(",") if tok.strip()]
     except ValueError as exc:
@@ -304,6 +301,8 @@ def _cmd_predict(params: dict, args) -> list | None:
 # -------------------------------------------------------------------- fit
 
 def _cmd_fit(params: dict, args) -> dict:
+    from .asymptotics import power_law_fit
+
     samples = []
     first_row = None  # the first row that is neither blank nor a comment may be a header
     for lineno, raw in enumerate(_read_text(args.infile).splitlines(), start=1):
@@ -326,6 +325,9 @@ def _cmd_fit(params: dict, args) -> dict:
 # ----------------------------------------------------------------- verify
 
 def _suite_stolarsky(d: int, n: int, seed: int) -> dict:
+    from .discrepancy import l2_cap_discrepancy
+    from .energy import ball_sphere_ratio, continuous_energy
+
     reps = 20
     children = np.random.SeedSequence(_require_int("seed", seed, 0)).spawn(reps)
     v = continuous_energy(d, -1.0)
@@ -369,6 +371,8 @@ def _suite_constants() -> dict:
 
 
 def _suite_zeta() -> dict:
+    from .special_functions import dirichlet_L3, hurwitz_zeta, riemann_zeta
+
     checks = [
         ("zeta(2)", riemann_zeta(2.0), math.pi**2 / 6.0),
         ("zeta(4)", riemann_zeta(4.0), math.pi**4 / 90.0),
@@ -393,6 +397,8 @@ def _suite_zeta() -> dict:
 
 
 def _suite_bernoulli() -> dict:
+    from .special_functions import bernoulli_table, riemann_zeta, sinc_power_coeffs
+
     # alpha_n(-1) zeta(-1-2n) = (-1)^(n+1) B_{2n+2} pi^(2n) / (2n+2)!, all < 0
     alpha = sinc_power_coeffs(-1.0, 6)
     bern = bernoulli_table(14)
@@ -431,7 +437,9 @@ def _cmd_verify(params: dict, args) -> dict:
 # The one parameter table: command -> name -> (type, default, help).  A tuple
 # type lists the allowed strings, a kind table the allowed kinds.  It makes
 # the argparse flags, validates --config keys and values, and its order is
-# the order of the envelope's "params".
+# the order of the envelope's "params".  optimize's entry is built by _spec
+# only when optimize runs, because importing the optimizer also loads the
+# energy and special-function modules.
 _SPEC = {
     "gen": {
         "kind": (_GEN_KINDS, REQUIRED, None),
@@ -447,11 +455,7 @@ _SPEC = {
         "seed": (int, 0, None),
         "degree": (int, 64, "harmonic degree cutoff L"),
     },
-    # OptimizerConfig's fields, in order; s, the one without a default, is a float
-    "optimize": {
-        f.name: (float, REQUIRED, None) if f.default is MISSING else (type(f.default), f.default, None)
-        for f in fields(OptimizerConfig)
-    },
+    "optimize": _optimize_spec,
     "constants": {"name": (str, None, None)},
     "predict": {
         "ns": (str, "4,8,16,32,64,128,256", "comma list of N values"),
@@ -485,7 +489,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _spec(command: str) -> dict:
+    spec = _SPEC[command]
+    return spec() if callable(spec) else spec
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and the flags of the one `argv` runs:
+    its first token that does not start with '-' (argv defaults to
+    sys.argv[1:], as for parse_args)."""
+    argv = sys.argv[1:] if argv is None else argv
+    running = next((tok for tok in argv if not tok.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="rieszcap",
         description="Spherical point sets: energies, cap discrepancies, asymptotics.",
@@ -494,17 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (command_help, handler, file_flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
-        for name, (kind, _, flag_help) in _SPEC[command].items():
+        p.set_defaults(func=handler)
+        if command != running:
+            continue
+        for name, (kind, _, flag_help) in _spec(command).items():
             typed = {"choices": kind} if isinstance(kind, (tuple, dict)) else {"type": kind}
             p.add_argument("--" + name.replace("_", "-"), help=flag_help, **typed)
         for flag in ("--out", "--config") + file_flags:
             p.add_argument(flag, **_FILE_FLAGS[flag])
-        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

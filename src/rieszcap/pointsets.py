@@ -3,7 +3,7 @@
 Formats:
   CSV   one point per row, d+1 float columns, optional header "# d=<d> n=<N>",
         floats written with repr (round-trip exact); the header's d and n are checked.
-  JSON  {"d": int, "points": [[...], ...]}.
+  JSON  {"d": int, "points": [[...], ...]} on one line, ending with a newline.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def dumps_pointset(ps: PointSet, format: str = "csv") -> str:
         lines.extend(",".join(map(repr, row)) for row in ps.points.tolist())
         return "\n".join(lines) + "\n"
     if format == "json":
-        return json.dumps({"d": ps.d, "points": [[float(c) for c in row] for row in ps.points]})
+        return json.dumps({"d": ps.d, "points": ps.points.tolist()}) + "\n"
     raise DomainError(f"unknown format {format!r}")
 
 

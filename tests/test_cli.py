@@ -675,3 +675,31 @@ def test_version_flag(monkeypatch, capsys):
     code, out, _ = run_cli(["--version"], None, monkeypatch, capsys)
     assert code == 0
     assert "rieszcap" in out
+
+
+# --------------------------------------------------------------- start-up
+
+_LOADS = """
+import contextlib, io, sys
+from rieszcap.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("rieszcap.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["gen", "--kind", "fibonacci", "--n", "8"], "cli errors pointsets"),
+        (["disc", "--kind", "l2"], "cli discrepancy energy errors pointsets special_functions"),
+        (["optimize", "--s", "-1"], "cli energy errors optimizer pointsets special_functions"),
+    ],
+    ids=["gen", "disc", "optimize"],
+)
+def test_command_loads_only_the_modules_it_runs(argv, modules):
+    # each process compiles what it imports, so a command pays only for its own modules
+    text = dumps_pointset(fibonacci_sphere(12))
+    proc = subprocess.run([sys.executable, "-c", _LOADS, *argv], input=text,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", *(f"rieszcap.{m}" for m in modules.split())]

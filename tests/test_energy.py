@@ -337,6 +337,17 @@ def test_walk_of_another_shape_is_refused_before_use():
     assert all(np.array_equal(a, b) for a, b in zip(buffers, after))
 
 
+@pytest.mark.parametrize("s", ["x", "-1", None, True])
+def test_energy_s_must_be_a_real_number(s):
+    with pytest.raises(ValidationError, match="^s must be a real number"):
+        riesz_energy(random_uniform(2, 8, 1), s)
+
+
+def test_energy_takes_numpy_scalar_s():
+    X = random_uniform(2, 8, 1)
+    assert riesz_energy(X, np.float32(-1.0)) == riesz_energy(X, np.int64(-1)) == riesz_energy(X, -1.0)
+
+
 _R2 = np.array([[0.25, 1.0, 2.0], [3.5, 0.01, 4.0]])
 
 

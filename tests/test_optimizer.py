@@ -64,12 +64,17 @@ def test_config_maximize_autoresolve():
         {"grad_tol": "1e-6"},
         {"step_init": None},
         {"grad_tol": True},
+        {"s": "abc"},
+        {"s": None},
+        {"s": "1.5"},
+        {"s": True},
     ],
 )
 def test_config_field_validation(kwargs):
-    # integer fields and s are checked by _require_int and _require_finite,
-    # the float fields here
-    expected = DomainError if kwargs.keys() & {"max_iters", "restarts", "s"} else ValidationError
+    # a bad integer field or a non-finite s is a DomainError (_require_int,
+    # _require_finite); a non-number or a bool in a float field a ValidationError
+    expected = (DomainError if kwargs.keys() & {"max_iters", "restarts"} or type(kwargs.get("s")) is float
+                else ValidationError)
     with pytest.raises(expected):
         OptimizerConfig(**{"s": -1.0, **kwargs})
 

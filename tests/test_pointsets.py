@@ -276,6 +276,7 @@ def test_csv_dump_bytes_pinned():
 def test_roundtrip_property(d, n, seed, fmt):
     ps = random_uniform(d, n, seed)
     text = dumps_pointset(ps, fmt)
+    assert text.endswith("\n") and not text.endswith("\n\n")  # one final newline
     back = loads_pointset(text, "auto")
     assert back.d == ps.d
     assert np.array_equal(back.points, ps.points)
