@@ -229,9 +229,9 @@ def l2_cap_discrepancy_direct(X: PointSet, centers: int, seed) -> DiscrepancyRep
 # ----------------------------------------------------------------------------
 # generalized discrepancies on S^2
 
-def _require_s2(X: PointSet, what: str) -> None:
+def _require_s2(X: PointSet, kind: str) -> None:
     if X.d != 2:
-        raise DimensionError(f"{what} is defined on S^2 only, got d={X.d}")
+        raise DimensionError(f"{kind} is defined on S^2 only, got d={X.d}")
 
 
 def _cui_freeden_kernel(r2, w):
@@ -246,7 +246,7 @@ def cui_freeden(X: PointSet) -> DiscrepancyReport:
     """Generalized discrepancy with kernel 2 log(1 + r/2):
     D^2 = (1 - mean kernel) / (4 pi); the diagonal r=0 contributes 0.  The
     points are scaled to unit norm first."""
-    _require_s2(X, "CuiFreeden")
+    _require_s2(X, "cui-freeden")
     total, _ = _pair_sums(_unit_points(X), _cui_freeden_kernel, coincident_error=False)
     kernel_mean = total / (X.n * X.n)
     dsq = (1.0 - kernel_mean) / (4.0 * math.pi)
@@ -255,7 +255,7 @@ def cui_freeden(X: PointSet) -> DiscrepancyReport:
 
 def sum_distance_discrepancy(X: PointSet) -> DiscrepancyReport:
     """D^2 = 4/3 - mean distance on S^2 (equals 4 * L2 cap D^2)."""
-    _require_s2(X, "SumDistance")
+    _require_s2(X, "sum-distance")
     mean = mean_distance(X)
     return _d2_report("SumDistance", {"d_squared": 4.0 / 3.0 - mean, "mean_distance": mean})
 
@@ -304,7 +304,7 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     oracle in tests/oracles.py, differs by at most 1e-13 (2l+1)/(4 pi)
     (2.5e-14 at N = 100, L = 256), nearly all of it that route's own error.
     """
-    _require_s2(X, "weyl_sums")
+    _require_s2(X, "weyl")
     L = _require_int("L", L, 1, WEYL_MAX_DEGREE)
     n = X.n
     pts = _unit_points(X)
@@ -362,6 +362,7 @@ def leveque_functionals(X: PointSet, L: int) -> tuple[float, float]:
     upper = (sum l^-(d+1) S_l)^(1/(d+2)).  Unknown inequality constants are
     not applied; truncation L is the caller's to report.
     """
+    _require_s2(X, "leveque")
     s = weyl_sums(X, L)
     d = X.d
     lower_sq = 0.0

@@ -15,8 +15,8 @@ Conventions fixed here once:
     builds its walk, or reuses one of its shape across calls: the optimizer
     keeps one per restart, with its buffers, constant columns and strip views.
   * Gradients: every weight of a strip, its own square's and the columns
-    after it, reaches one accumulator sum_k W_jk (x_k, 1) through a GEMM
-    against the rows [x, 1], for every N.
+    after it, reaches one accumulator 2 sum_k W_jk (x_k, 1) through a GEMM
+    against the rows [2x, 2], for every N.
   * Reductions: each strip row is summed by numpy's pairwise tree, and all
     row sums go into one math.fsum, which rounds their exact sum once and so
     depends neither on their order nor on the strip layout.  Results are
@@ -68,10 +68,10 @@ class _Walk:
         buf = np.empty(min(height, n) * n)  # each strip's r^2, then K
         wbuf = np.empty(buf.size) if grad else None  # each strip's W
         if grad:
-            # acc_j = sum_k W_jk (x_k, 1).  Its own [x, 1] rather than `left`:
+            # acc_j = 2 sum_k W_jk (x_k, 1).  Its own [2x, 2] rather than `left`:
             # against five columns OpenBLAS rounded the x sums up to 6x worse
             self.aug = np.empty((n, m + 1))
-            self.aug[:, m] = 1.0
+            self.aug[:, m] = 2.0
             self.acc = np.empty((n, m + 1))
         self.strips = []  # lo, hi, h, flat strip, its r^2, flat W, its W, the square's diagonal
         for lo in range(0, n, height):
@@ -107,7 +107,7 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
     np.multiply(pts.T, -2.0, out=right[:m])
     if grad:
         aug, acc = walk.aug, walk.acc
-        aug[:, :m] = pts
+        np.multiply(pts, 2.0, out=aug[:, :m])
         acc.fill(0.0)
     sums = []  # each strip's square row sums and 2x its row sums over k >= hi
     for lo, hi, h, strip, r2, wflat, w, diag in walk.strips:
@@ -135,10 +135,9 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
                 acc[hi:] += w[:, h:].T @ aug[lo:hi]
     g = None
     if grad:
-        # each unordered pair appears twice in the ordered sum
+        # each unordered pair appears twice in the ordered sum: aug's exact factor 2
         g = acc[:, m:] * pts
         g -= acc[:, :m]
-        g *= 2.0
     return math.fsum(sums), g
 
 

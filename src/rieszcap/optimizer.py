@@ -117,11 +117,10 @@ def _renormalized(x: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
+def _run_single(X: PointSet, cfg: OptimizerConfig, keep_trace: bool):
     sign = 1.0 if cfg.maximize else -1.0
-    x = x0.copy()
-    walk = _Walk(len(x), d + 1, True)  # every evaluation of this restart reuses its buffers
-    energy, grad = riesz_energy_and_gradient(PointSet(d, x), cfg.s, _walk=walk)
+    walk = _Walk(X.n, X.d + 1, True)  # every evaluation of this restart reuses its buffers
+    energy, grad = riesz_energy_and_gradient(X, cfg.s, _walk=walk)
     evals = 1
     g2, gmax = _grad_sizes(grad)
     ref, weight = sign * energy, 1.0  # Zhang-Hager C_k and Q_k
@@ -129,24 +128,22 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
     iters = 0
     stop = "max_iters"
     trace = [(0, energy, gmax, 0.0)] if keep_trace else None
-    best = (x, energy, gmax)  # the best accepted iterate, by reference
+    best = (X, energy, gmax)  # the best accepted iterate, a set it evaluated
     for _ in range(cfg.max_iters):
         if gmax <= cfg.grad_tol:
-            stop = "grad_tol"
             break
-        accepted = False
         while step >= STEP_STALL:
             trial = grad * (sign * step)  # the bits of x + (sign * step) * grad, one buffer
-            trial += x
+            trial += X.points
             trial = _renormalized(trial)
             if trial is not None:
-                e_new, g_new = riesz_energy_and_gradient(_unit_rows(d, trial), cfg.s, _walk=walk)
+                Y = _unit_rows(X.d, trial)
+                e_new, g_new = riesz_energy_and_gradient(Y, cfg.s, _walk=walk)
                 evals += 1
                 if sign * e_new >= ref + _ARMIJO_C * step * g2:
-                    accepted = True
                     break
             step *= _BACKTRACK
-        if not accepted:
+        else:
             stop = "step_stall"
             break
         iters += 1
@@ -155,13 +152,13 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
         weight = grown
         # Riemannian BB: projection carries the old gradient to the new
         # tangent spaces; c is the curvature along s of -sign * energy.
-        s_vec = trial - x
+        s_vec = trial - X.points
         y = g_new - (grad - _row_dots(grad, trial)[:, None] * trial)
         c = -sign * _dot(s_vec, y)
-        x, energy, grad = trial, e_new, g_new
+        X, energy, grad = Y, e_new, g_new
         g2, gmax = _grad_sizes(grad)
         if sign * energy >= sign * best[1]:  # ties: the latest
-            best = (x, energy, gmax)
+            best = (X, energy, gmax)
         if keep_trace:
             trace.append((iters, energy, gmax, step))
         if c <= 0.0:
@@ -173,8 +170,8 @@ def _run_single(x0: np.ndarray, d: int, cfg: OptimizerConfig, keep_trace: bool):
     if gmax <= cfg.grad_tol:
         stop = "grad_tol"
     else:  # nonmonotone acceptance may have left the best iterate behind
-        x, energy, gmax = best
-    return x, energy, gmax, iters, stop, evals, trace
+        X, energy, gmax = best
+    return X, energy, gmax, iters, stop, evals, trace
 
 
 def optimize(
@@ -182,11 +179,12 @@ def optimize(
 ) -> OptimizerResult:
     """Best-of-restarts projected gradient from X0.
 
-    Restart 0 starts at X0; restarts 1..k-1 start from uniform draws seeded
-    by children of cfg.seed, so the whole run is deterministic.  A restart
-    that stops by max_iters or step_stall yields its best accepted iterate,
-    a grad_tol stop its last.  Ties in the final objective go to the earlier
-    restart.  `threads` > 1 runs restarts
+    Restart 0 starts at X0, evaluated as given; restarts 1..k-1 start from
+    uniform draws seeded by children of cfg.seed, so the whole run is
+    deterministic.  A restart that stops by max_iters or step_stall yields
+    its best accepted iterate, a grad_tol stop its last; either is the set
+    it evaluated, so `best` may be X0 itself.  Ties in the final objective
+    go to the earlier restart.  `threads` > 1 runs restarts
     concurrently; selection order is by restart index either way, so the
     result does not depend on threads.  Threads pay off only at hundreds of
     points: on a 2-vCPU host with 4 restarts on S^2, 2 threads took 1.8x as
@@ -194,34 +192,30 @@ def optimize(
     """
     threads = _require_int("threads", threads, 1)
     sign = 1.0 if cfg.maximize else -1.0
-    ss = np.random.SeedSequence(cfg.seed)
-    children = ss.spawn(cfg.restarts - 1) if cfg.restarts > 1 else []
-    starts = [X0.points] + [
-        random_uniform(X0.d, X0.n, seed=children[k]).points
-        for k in range(cfg.restarts - 1)
-    ]
+    starts = [X0]
+    if cfg.restarts > 1:
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts - 1)
+        starts += [random_uniform(X0.d, X0.n, seed=child) for child in children]
     if threads > 1 and cfg.restarts > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(
-                pool.map(lambda s0: _run_single(s0, X0.d, cfg, keep_trace), starts)
-            )
+            outs = list(pool.map(lambda X: _run_single(X, cfg, keep_trace), starts))
     else:
-        outs = [_run_single(s0, X0.d, cfg, keep_trace) for s0 in starts]
-    best = max(outs, key=lambda out: sign * out[1])  # ties: the earlier restart
-    x, energy, gmax, iters, stop, _, trace = best
+        outs = [_run_single(X, cfg, keep_trace) for X in starts]
+    sets, energies, gmaxes, iters, stops, evals, traces = zip(*outs)
+    k = max(range(cfg.restarts), key=lambda k: sign * energies[k])  # ties: the earlier restart
     return OptimizerResult(
-        best=PointSet(X0.d, x),
-        energy=energy,
-        grad_norm=gmax,
-        iterations=iters,
+        best=sets[k],
+        energy=energies[k],
+        grad_norm=gmaxes[k],
+        iterations=iters[k],
         restarts_used=cfg.restarts,
-        converged=gmax <= cfg.grad_tol,
-        stop_reason=stop,
-        restart_energies=[out[1] for out in outs],
-        restart_stop_reasons=[out[4] for out in outs],
-        restart_grad_norms=[out[2] for out in outs],
-        restart_evaluations=[out[5] for out in outs],
-        trace=trace,
+        converged=gmaxes[k] <= cfg.grad_tol,
+        stop_reason=stops[k],
+        restart_energies=list(energies),
+        restart_stop_reasons=list(stops),
+        restart_grad_norms=list(gmaxes),
+        restart_evaluations=list(evals),
+        trace=traces[k],
     )

@@ -15,13 +15,16 @@ is a test oracle (tests/oracles.py), not part of the package.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, PoleError, RangeError, ValidationError, _require_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _LD = np.longdouble
 
@@ -123,6 +126,7 @@ def _log_gamma_ratio(a: float, b: float) -> tuple[float, float]:
 @lru_cache(maxsize=None)
 def _bernoulli(n: int) -> Fraction:
     # B_0 = 1; sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1.
+    from fractions import Fraction  # loaded here: only the zeta and Bernoulli routes pay for it
     if n == 0:
         return Fraction(1)
     if n == 1:

@@ -179,6 +179,14 @@ def test_disc_kinds_run(kind, monkeypatch, capsys):
     assert blob["seed"] == params.get("seed")
 
 
+@pytest.mark.parametrize("kind", ["cui-freeden", "sum-distance", "leveque", "weyl"])
+def test_s2_only_kinds_name_themselves(kind, monkeypatch, capsys):
+    text = dumps_pointset(random_uniform(3, 10, seed=1))
+    code, out, err = run_cli(["disc", "--kind", kind], text, monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {kind} is defined on S^2 only, got d=3\n"
+
+
 def test_disc_l2_matches_library(monkeypatch, capsys):
     X = roots_of_unity(8)
     code, out, _ = run_cli(["disc", "--kind", "l2"], dumps_pointset(X), monkeypatch, capsys)
@@ -266,6 +274,18 @@ def test_optimize_matches_library(tmp_path, monkeypatch, capsys):
     assert envelope(out)["result"] == json.loads(json.dumps(res.to_json()))
     rows = ["iter,objective,grad_norm,step"] + [",".join(map(repr, row)) for row in res.trace]
     assert trace_out.read_text() == "\n".join(rows) + "\n"
+
+
+def test_optimize_runs_on_a_set_written_with_ten_digits(tmp_path, monkeypatch, capsys):
+    # Fibonacci 64 at %.10g is 6e-11 off the sphere: within the loaders' gate,
+    # outside NORM_TOL; optimize must take every set disc takes
+    pts = tmp_path / "fib64.csv"
+    pts.write_text("".join(",".join(f"{v:.10g}" for v in row) + "\n"
+                           for row in fibonacci_sphere(64).points.tolist()))
+    argv = ["optimize", "--in", str(pts), "--s", "-1", "--grad-tol", "2e-3"]
+    code, out, err = run_cli(argv, None, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert envelope(out)["result"]["converged"]
 
 
 def test_optimize_threads_match_serial(monkeypatch, capsys):
@@ -684,8 +704,17 @@ import contextlib, io, sys
 from rieszcap.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("rieszcap.")))
+print(code, *sorted(sys.modules))
 """
+
+
+def _modules_after(argv):
+    """Every module a fresh interpreter holds after cli.main(argv) on 12 points."""
+    proc = subprocess.run([sys.executable, "-c", _LOADS, *argv], input=dumps_pointset(fibonacci_sphere(12)),
+                          capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.split()
+    assert code == "0"
+    return modules
 
 
 @pytest.mark.parametrize(
@@ -699,7 +728,23 @@ print(code, *sorted(m for m in sys.modules if m.startswith("rieszcap.")))
 )
 def test_command_loads_only_the_modules_it_runs(argv, modules):
     # each process compiles what it imports, so a command pays only for its own modules
-    text = dumps_pointset(fibonacci_sphere(12))
-    proc = subprocess.run([sys.executable, "-c", _LOADS, *argv], input=text,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["0", *(f"rieszcap.{m}" for m in modules.split())]
+    loaded = [m for m in _modules_after(argv) if m.startswith("rieszcap.")]
+    assert loaded == [f"rieszcap.{m}" for m in modules.split()]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--kind", "fibonacci", "--n", "8"], ["disc", "--kind", "l2"], ["energy", "--s", "1"],
+     ["optimize", "--s", "-1"]],
+    ids=["gen", "disc", "energy", "optimize"],
+)
+def test_command_leaves_fractions_unloaded(argv):
+    # exact rationals serve only the zeta and Bernoulli routes
+    assert "fractions" not in _modules_after(argv)
+
+
+@pytest.mark.parametrize("restarts,loaded", [("1", False), ("2", True)])
+def test_optimize_loads_numpy_random_only_for_restarts(restarts, loaded):
+    # restart 0 starts at the input; only later restarts draw random starts
+    argv = ["optimize", "--s", "-1", "--restarts", restarts]
+    assert ("numpy.random" in _modules_after(argv)) is loaded

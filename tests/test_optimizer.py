@@ -11,6 +11,7 @@ from rieszcap.pointsets import (
     NORM_TOL,
     PointSet,
     fibonacci_sphere,
+    loads_pointset,
     random_uniform,
     roots_of_unity,
 )
@@ -111,12 +112,13 @@ def test_renormalized_divides_rows_in_place():
 
 
 def test_antipodal_pair_is_fixed_point():
-    res = optimize(_antipodal_s1(), OptimizerConfig(s=-1.0))
+    X0 = _antipodal_s1()
+    res = optimize(X0, OptimizerConfig(s=-1.0))
     assert res.iterations == 0
     assert res.converged
     assert res.stop_reason == "grad_tol"
     assert res.energy == pytest.approx(4.0, abs=1e-15)
-    np.testing.assert_array_equal(res.best.points, _antipodal_s1().points)
+    assert res.best is X0  # the set it evaluated, not a copy
 
 
 def test_three_points_circle_reach_equilateral():
@@ -308,6 +310,20 @@ def test_max_iters_stop_returns_best_accepted_iterate():
     assert res.grad_norm == best[2] and not res.converged
     assert res.restart_energies == [res.energy] and res.restart_grad_norms == [res.grad_norm]
     assert riesz_energy(res.best, -1.0) == res.energy
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_start_within_ingest_tolerance_runs_as_given(evaluations, restarts):
+    # a loaded start 5e-10 off the sphere passes INGEST_NORM_TOL, not NORM_TOL:
+    # restart 0 evaluates it as given and returns an evaluated set
+    pts = random_uniform(2, 16, seed=3).points.copy()
+    pts[0] *= 1.0 + 5e-10
+    X0 = loads_pointset("".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+    assert abs(np.linalg.norm(X0.points[0]) - 1.0) > NORM_TOL
+    res = optimize(X0, OptimizerConfig(s=-1.0, restarts=restarts, seed=2, grad_tol=1e-6))
+    assert evaluations[0] is X0
+    assert any(res.best is X for X in evaluations)
+    assert res.restart_stop_reasons == ["grad_tol"] * restarts
 
 
 def test_coincident_start_propagates():
