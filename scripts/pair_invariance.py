@@ -79,6 +79,7 @@ CLI_STDIN = {
     "json": '{"d": 2, "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]}',
     "json-strings": '{"d": 2, "points": [["a", "b", "c"]]}',
     "json-object": '{"d": 2, "points": [[1, 0, {}]]}',
+    "json-bool-d": '{"d": true, "points": [[1.0, 0.0]]}',
     "empty": "",
     "fit": "16,0.5\n32,0.3\n64,0.2\n128,0.11\n",
     "fit-header": "N,value\n16,0.5\n32,0.3\n64,0.2\n",
@@ -168,9 +169,12 @@ CLI_CASES = [
     ("disc --kind l2", "json"),
     ("disc --kind l2 --in {tmp}/pts.csv --out {tmp}/disc.json", None),
     ("disc --kind weyl", "s3"),
+    *((f"disc --kind {kind} --degree {degree}", "s2-small")
+      for kind in ("weyl", "leveque") for degree in (0, 257)),
     ("disc --kind l2", "empty"),
     ("disc --kind l2", "json-strings"),
     ("disc --kind l2", "json-object"),
+    ("disc --kind l2", "json-bool-d"),
     ("disc --kind no-such-kind", "tiny"),
     ("disc --threads 2", "tiny"),
     ("disc --kind l2-direct --seed -1", "tiny"),

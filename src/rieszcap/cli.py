@@ -26,6 +26,7 @@ from . import __version__
 from .errors import InputError, NumericalContractError, ParseError, ValidationError, _require_int
 from .pointsets import (
     PointSet,
+    _csv_text,
     dumps_pointset,
     fibonacci_sphere,
     hammersley_square,
@@ -81,15 +82,6 @@ def _read_text(path: str | None) -> str:
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _read_points(path: str | None) -> PointSet:
-    return loads_pointset(_read_text(path))
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text with every value written by repr, so floats round-trip."""
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _config_value(command: str, key: str, kind, value):
@@ -186,7 +178,7 @@ def _cmd_gen(params: dict, args) -> None:
 def _cmd_energy(params: dict, args) -> dict:
     from .energy import energy_report
 
-    X = _read_points(args.infile)
+    X = loads_pointset(_read_text(args.infile))
     return energy_report(X, params["s"]).to_json()
 
 
@@ -208,7 +200,8 @@ def _cmd_disc(params: dict, args) -> dict:
     from . import discrepancy
 
     name, takes = _DISC_KINDS[params["kind"]]
-    result = getattr(discrepancy, name)(_read_points(args.infile), *(params[p] for p in takes))
+    X = loads_pointset(_read_text(args.infile))
+    result = getattr(discrepancy, name)(X, *(params[p] for p in takes))
     if isinstance(result, list):  # the Weyl sums S_1..S_L
         return {"kind": "Weyl", "degree": params["degree"], "values": result}
     return result.to_json()
@@ -229,13 +222,13 @@ def _optimize_spec() -> dict:
 def _cmd_optimize(params: dict, args) -> dict:
     from .optimizer import OptimizerConfig, optimize
 
-    X0 = _read_points(args.infile)
+    X0 = loads_pointset(_read_text(args.infile))
     cfg = OptimizerConfig(**params)
     res = optimize(X0, cfg, keep_trace=args.trace_out is not None, threads=args.threads)
     if args.points_out:
         write_pointset(res.best, args.points_out)
     if args.trace_out:
-        _emit(_csv("iter,objective,grad_norm,step", res.trace), args.trace_out)
+        _emit(_csv_text("iter,objective,grad_norm,step", res.trace), args.trace_out)
     return res.to_json()
 
 
@@ -294,7 +287,7 @@ def _cmd_predict(params: dict, args) -> list | None:
         rows.append({"N": n, "predicted_dsq": predicted, "measured_dsq": float(measured)})
     if params["format"] == "json":
         return rows
-    _emit(_csv("N,predicted_dsq,measured_dsq", [r.values() for r in rows]), args.out)
+    _emit(_csv_text("N,predicted_dsq,measured_dsq", [r.values() for r in rows]), args.out)
     return None
 
 

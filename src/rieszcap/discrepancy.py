@@ -305,7 +305,7 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     (2.5e-14 at N = 100, L = 256), nearly all of it that route's own error.
     """
     _require_s2(X, "weyl")
-    L = _require_int("L", L, 1, WEYL_MAX_DEGREE)
+    L = _require_int("degree", L, 1, WEYL_MAX_DEGREE)  # named as the CLI's --degree
     n = X.n
     pts = _unit_points(X)
     c, s2 = _harmonic_tables(L)

@@ -4,6 +4,7 @@ Formats:
   CSV   one point per row, d+1 float columns, optional header "# d=<d> n=<N>",
         floats written with repr (round-trip exact); the header's d and n are checked.
   JSON  {"d": int, "points": [[...], ...]} on one line, ending with a newline.
+The readers tell the two apart by the content, never by a file name.
 """
 
 from __future__ import annotations
@@ -155,9 +156,7 @@ def fibonacci_sphere(n: int) -> PointSet:
     n = _require_int("n", n, 2)
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = 2.0 * math.pi * k * GOLDEN_CONJUGATE
-    return PointSet(2, np.column_stack([r * np.cos(phi), r * np.sin(phi), z]))
+    return _lift(z, 2.0 * math.pi * k * GOLDEN_CONJUGATE)
 
 
 def lambert_lift(sq: UnitSquareSet) -> PointSet:
@@ -168,12 +167,14 @@ def lambert_lift(sq: UnitSquareSet) -> PointSet:
     """
     if not isinstance(sq, UnitSquareSet):
         raise ValidationError("lambert_lift expects a UnitSquareSet")
-    u = sq.points[:, 0]
-    v = sq.points[:, 1]
-    z = 1.0 - 2.0 * v
+    u, v = sq.points.T
+    return _lift(1.0 - 2.0 * v, 2.0 * math.pi * u)
+
+
+def _lift(z: np.ndarray, azimuth: np.ndarray) -> PointSet:
+    """The points of S^2 at heights z in [-1, 1] and the given azimuths."""
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    ang = 2.0 * math.pi * u
-    return PointSet(2, np.column_stack([r * np.cos(ang), r * np.sin(ang), z]))
+    return PointSet(2, np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z]))
 
 
 def hammersley_square(m: int) -> UnitSquareSet:
@@ -197,30 +198,23 @@ def hammersley_square(m: int) -> UnitSquareSet:
 
 def dumps_pointset(ps: PointSet, format: str = "csv") -> str:
     if format == "csv":
-        lines = [f"# d={ps.d} n={ps.n}"]
-        lines.extend(",".join(map(repr, row)) for row in ps.points.tolist())
-        return "\n".join(lines) + "\n"
+        return _csv_text(f"# d={ps.d} n={ps.n}", ps.points.tolist())
     if format == "json":
         return json.dumps({"d": ps.d, "points": ps.points.tolist()}) + "\n"
     raise DomainError(f"unknown format {format!r}")
 
 
-def _sniff_format(text: str) -> str:
-    for ch in text:
-        if ch.isspace():
-            continue
-        return "json" if ch in "{[" else "csv"
-    return "csv"
+def _csv_text(header: str, rows) -> str:
+    """CSV text with every value written by repr, so floats round-trip."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
-def loads_pointset(text: str, format: str = "auto") -> PointSet:
-    if format == "auto":
-        format = _sniff_format(text)
-    if format == "json":
+def loads_pointset(text: str) -> PointSet:
+    """JSON when the first non-space character is '{' or '[', else CSV
+    (blank text too, which has no data rows)."""
+    if text.lstrip()[:1] in ("{", "["):
         return _load_json(text)
-    if format == "csv":
-        return _load_csv(text)
-    raise DomainError(f"unknown format {format!r}")
+    return _load_csv(text)
 
 
 def _load_csv(text: str) -> PointSet:
@@ -275,7 +269,7 @@ def _load_json(text: str) -> PointSet:
     if not isinstance(obj, dict) or "d" not in obj or "points" not in obj:
         raise ParseError('JSON pointset must be {"d": ..., "points": [...]}')
     d = obj["d"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:  # exact type: a JSON true is no integer
         raise ParseError(f'"d" must be a positive integer, got {d!r}')
     pts = obj["points"]
     if not isinstance(pts, list) or not pts:
@@ -300,7 +294,7 @@ def write_pointset(ps: PointSet, path: str, format: str = "auto") -> None:
         fh.write(dumps_pointset(ps, format))
 
 
-def read_pointset(path: str, format: str = "auto") -> PointSet:
-    """"auto" decides from the content, as `loads_pointset` does, not the name."""
+def read_pointset(path: str) -> PointSet:
+    """The content decides the format, as in `loads_pointset`, not the name."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_pointset(fh.read(), format)
+        return loads_pointset(fh.read())

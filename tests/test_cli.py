@@ -74,8 +74,8 @@ def test_gen_json_format(monkeypatch, capsys):
         monkeypatch,
         capsys,
     )
-    assert code == 0
-    ps = loads_pointset(out, format="json")
+    assert code == 0 and out.startswith("{")
+    ps = loads_pointset(out)
     assert ps.n == 5
 
 
@@ -185,6 +185,18 @@ def test_s2_only_kinds_name_themselves(kind, monkeypatch, capsys):
     code, out, err = run_cli(["disc", "--kind", kind], text, monkeypatch, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {kind} is defined on S^2 only, got d=3\n"
+
+
+@pytest.mark.parametrize("kind", ["weyl", "leveque"])
+@pytest.mark.parametrize("degree, message", [
+    ("0", "degree must be an integer >= 1, got 0"),
+    ("257", "degree=257 exceeds guard 256"),
+], ids=["0", "257"])
+def test_degree_errors_name_the_flag(kind, degree, message, monkeypatch, capsys):
+    text = dumps_pointset(fibonacci_sphere(12))
+    code, out, err = run_cli(["disc", "--kind", kind, "--degree", degree], text, monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_disc_l2_matches_library(monkeypatch, capsys):

@@ -277,7 +277,7 @@ def test_roundtrip_property(d, n, seed, fmt):
     ps = random_uniform(d, n, seed)
     text = dumps_pointset(ps, fmt)
     assert text.endswith("\n") and not text.endswith("\n\n")  # one final newline
-    back = loads_pointset(text, "auto")
+    back = loads_pointset(text)
     assert back.d == ps.d
     assert np.array_equal(back.points, ps.points)
 
@@ -332,11 +332,16 @@ def test_slightly_off_norm_accepted_without_renormalize(tmp_path):
 
 def test_json_errors():
     with pytest.raises(ParseError):
-        loads_pointset("{not json", "json")
+        loads_pointset("{not json")
     with pytest.raises(ParseError):
-        loads_pointset('{"d": 2}', "json")
+        loads_pointset('{"d": 2}')
     with pytest.raises(ParseError):
-        loads_pointset('{"d": 2, "points": [[1.0, 0.0]]}', "json")
+        loads_pointset('{"d": 2, "points": [[1.0, 0.0]]}')
+
+
+def test_json_bool_d_is_parse_error():
+    with pytest.raises(ParseError, match='"d" must be a positive integer, got True'):
+        loads_pointset('{"d": true, "points": [[1.0, 0.0]]}')
 
 
 @pytest.mark.parametrize(
@@ -355,8 +360,6 @@ def test_json_integer_beyond_float_range_is_parse_error():
 def test_unknown_format_is_domain_error():
     with pytest.raises(DomainError):
         dumps_pointset(roots_of_unity(3), format="xml")
-    with pytest.raises(DomainError):
-        loads_pointset("1.0,0.0\n", format="xml")
 
 
 def test_empty_file(tmp_path):
