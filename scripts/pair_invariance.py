@@ -23,8 +23,9 @@ in its own process with one BLAS thread and reports:
     `l2_cap_discrepancy_direct` and `cap_sup_discrepancy_lower` (1024
     centers on each S^2 set, 256 on S^3) on all of them, and `cui_freeden`,
     `sum_distance_discrepancy`, `leveque_report` and the Weyl sums, both at
-    L = 64, on the S^2 sets; and sigma_d on 201 thresholds in [-1, 1] for
-    d = 1..8;
+    L = 64, on the S^2 sets; `l2_cap_discrepancy` on the S^1 sets (roots
+    of unity, N = 2^8..2^12) and `mean_distance` of the roots of unity at
+    N = 2^13..2^16; and sigma_d on 201 thresholds in [-1, 1] for d = 1..8;
   * whether `optimize` with three restarts gives the same result with
     threads=1 and threads=3;
   * the exit code, stdout, stderr and written files of each command line in
@@ -41,7 +42,9 @@ When bits differ it prints one more JSON line with how far they moved: the
 largest relative energy difference and the largest gradient difference
 over max|g| on both grids, the probe iteration and evaluation counts of
 both trees side by side, and the estimator entries and command lines that
-differ.
+differ, with each differing S^1 entry's distance in ulps of its mean
+distance (for `l2` reports and `predict` rows, that of D^2 scaled by
+ratio(1) = 1/pi).
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
 """
@@ -51,6 +54,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -67,6 +71,7 @@ GRID_S = (-1.0, 0.0, 0.5, 2.0)
 # (label, d, N) of the multi-strip inputs; "roots" is roots_of_unity(N)
 MULTI_STRIP = (("S2", 2, 600), ("S2", 2, 4096), ("roots", 1, 4096), ("S3", 3, 1000))
 DISC_SEED = 7
+S1_MEAN_N = tuple(2**k for k in range(13, 17))  # roots of unity beyond disc's S^1 sweep
 
 # stdin texts of the CLI cases.  A tuple is a pointsets constructor and its
 # arguments, written as CSV, whose bytes both trees share.
@@ -212,6 +217,9 @@ CLI_CASES = [
     ("predict --out {tmp}/predict.csv", None),
     ("predict --ns a,b", None),
     ("predict --ns ,", None),
+    ("predict --ns 0", None),
+    ("predict --ns -4", None),
+    ("predict --ns 65536", None),
     # fit
     ("fit", "fit"),
     ("fit --in {tmp}/fit.csv", None),
@@ -251,7 +259,7 @@ def _sums(energy, inputs, values: dict) -> dict:
     return out
 
 
-def _estimators(discrepancy, workloads) -> dict:
+def _estimators(discrepancy, pointsets, workloads) -> dict:
     # reports and digests by "estimator input"
     inputs = workloads.disc_generate(DISC_SEED)
     cases = [(label, X, workloads.DISC_CENTERS) for label, X in inputs["s2"]]
@@ -269,6 +277,10 @@ def _estimators(discrepancy, workloads) -> dict:
             reports["leveque"] = discrepancy.leveque_report(X, workloads.DISC_DEGREE)
             out[f"weyl {label}"] = _digest(discrepancy.weyl_sums(X, workloads.DISC_DEGREE))
         out.update({f"{kind} {label}": json.dumps(rep.to_json()) for kind, rep in reports.items()})
+    for X in inputs["s1"]:
+        out[f"l2 s1 N={X.n}"] = json.dumps(discrepancy.l2_cap_discrepancy(X).to_json())
+    for n in S1_MEAN_N:
+        out[f"mean_distance s1 N={n}"] = json.dumps(discrepancy.mean_distance(pointsets.roots_of_unity(n)))
     t = np.linspace(-1.0, 1.0, 201)
     for d in range(1, 9):
         out[f"sigma d={d}"] = _digest(discrepancy._sigma_cap_values(d, t))
@@ -361,14 +373,41 @@ def report() -> dict:
         (serial.best.points == threaded.best.points).all()
     )
     return {"probe": probe, "grid": grid, "multi_strip": multi,
-            "estimators": _estimators(discrepancy, workloads), "threads_1_vs_3_equal": same,
+            "estimators": _estimators(discrepancy, pointsets, workloads), "threads_1_vs_3_equal": same,
             "values": values, "cli": _cli_outputs(pointsets)}
+
+
+def _s1_ulps(ref: str, new: str):
+    """An S^1 estimator entry's distance in ulps of its mean distance; an
+    `l2` report's D^2 = (4/pi - mean)/pi moves by 1/pi of the mean's."""
+    a, b = json.loads(ref), json.loads(new)
+    if isinstance(a, float):
+        return abs(b - a) / math.ulp(a)
+    a, b = a["diagnostics"], b["diagnostics"]
+    unit = math.ulp(a["mean_distance"])
+    return {"mean_distance": abs(b["mean_distance"] - a["mean_distance"]) / unit,
+            "d_squared": math.pi * abs(b["d_squared"] - a["d_squared"]) / unit}
+
+
+def _predict_ulps(ref: dict, new: dict) -> dict:
+    """measured_dsq of each differing row of a `predict` case (CSV on stdout
+    or in a file) in ulps of the mean distance 4/pi - pi D^2, as above."""
+    out = {}
+    for a, b in zip(*((case["stdout"], *case["files"].values()) for case in (ref, new))):
+        if a.startswith("N,"):
+            for row_a, row_b in zip(a.splitlines()[1:], b.splitlines()[1:]):
+                n, _, da = row_a.split(",")
+                da, db = float(da), float(row_b.split(",")[2])
+                if da != db:
+                    out[f"N={n}"] = math.pi * abs(db - da) / math.ulp(4 / math.pi - math.pi * da)
+    return out
 
 
 def moved(ref: dict, new: dict) -> dict:
     """How far the grid values and the probe iteration and evaluation counts
     moved, and which estimators and CLI cases differ."""
     rel_e, rel_g = 0.0, 0.0
+    cli_differing = _cli_compare(ref["cli"], new["cli"])[0]
     for key, a in ref["values"].items():
         b = new["values"][key]
         for e in ("energy", "energy_only"):
@@ -384,7 +423,11 @@ def moved(ref: dict, new: dict) -> dict:
             for p, q in zip(ref["probe"], new["probe"])
         ],
         "estimators_differing": [k for k, v in ref["estimators"].items() if new["estimators"][k] != v],
-        "cli_differing": _cli_compare(ref["cli"], new["cli"])[0],
+        "s1_ulps_of_mean": {k: _s1_ulps(v, new["estimators"][k]) for k, v in ref["estimators"].items()
+                            if " s1 " in k and new["estimators"][k] != v},
+        "cli_differing": cli_differing,
+        "predict_ulps_of_mean": {label: _predict_ulps(ref["cli"][label], new["cli"][label])
+                                 for label in cli_differing if label.startswith("predict ")},
     }
 
 

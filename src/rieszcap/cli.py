@@ -275,7 +275,7 @@ def _cmd_predict(params: dict, args) -> list | None:
     from .discrepancy import l2_cap_discrepancy
 
     try:
-        ns = [int(tok) for tok in params["ns"].split(",") if tok.strip()]
+        ns = [_require_int("ns", int(tok), 1) for tok in params["ns"].split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"--ns must be a comma list of integers, got {params['ns']!r}") from exc
     if not ns:

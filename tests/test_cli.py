@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -389,6 +390,25 @@ def test_predict_json_envelope(monkeypatch, capsys):
     assert code == 0
     rows = envelope(out)["result"]
     assert [row["N"] for row in rows] == [4, 8]
+
+
+@pytest.mark.parametrize("ns", ["0", "-4"])
+def test_predict_ns_errors_name_the_flag(ns, monkeypatch, capsys):
+    code, out, err = run_cli(["predict", "--ns", ns], None, monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: ns must be an integer >= 1, got {ns}\n"
+
+
+def test_predict_at_65536_within_ulps_of_the_cot_formula(monkeypatch, capsys):
+    # measured D^2 = (1/pi)(4/pi - mean): its error is the mean's, scaled by 1/pi
+    n = 65536
+    code, out, _ = run_cli(["predict", "--ns", str(n)], None, monkeypatch, capsys)
+    assert code == 0
+    measured = float(out.strip().splitlines()[1].split(",")[2])
+    with mp.workdps(40):
+        mean = 2 * mp.cot(mp.pi / (2 * n)) / n
+        want = (4 / mp.pi - mean) / mp.pi
+        assert abs(measured - want) <= 1.5 * math.ulp(float(mean)) * ball_sphere_ratio(1)
 
 
 # ------------------------------------------------------------------- fit

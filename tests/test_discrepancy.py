@@ -30,7 +30,7 @@ from rieszcap.discrepancy import (
     sum_distance_discrepancy,
     weyl_sums,
 )
-from rieszcap.energy import ball_sphere_ratio, continuous_energy
+from rieszcap.energy import ball_sphere_ratio, continuous_energy, riesz_energy
 from rieszcap.errors import (
     DimensionError,
     DomainError,
@@ -40,6 +40,7 @@ from rieszcap.errors import (
 from rieszcap.pointsets import (
     INGEST_NORM_TOL,
     PointSet,
+    _unit_rows,
     fibonacci_sphere,
     hammersley_square,
     lambert_lift,
@@ -701,3 +702,65 @@ def test_pair_estimators_see_unit_points():
     for estimator in (l2_cap_discrepancy_direct, cap_sup_discrepancy_lower):
         want = estimator(X, 256, 1).value
         assert estimator(Y, 256, 1).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# ------------------------------------------------ mean distance on S^1
+
+def _off_radius_circle(n, seed):
+    # random S^1 set whose radii are off by up to 1e-9, as ingestion accepts
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    radius = 1.0 + rng.uniform(-1e-9, 1e-9, n)
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1) * radius[:, None]
+    return PointSet(1, pts, norm_tol=INGEST_NORM_TOL)
+
+
+@pytest.mark.parametrize("n", [*range(1, 40), *(2**k for k in range(6, 17))])
+def test_circle_mean_distance_of_roots_within_ulps(n):
+    # the N-th roots of unity have mean chord 2 cot(pi/2N)/N; one point has none
+    with mp.workdps(40):
+        want = 2 * mp.cot(mp.pi / (2 * n)) / n if n > 1 else mp.mpf(0)
+        got = mean_distance(roots_of_unity(n))
+        assert abs(got - want) <= 1.5 * math.ulp(float(want)), n
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (3, 2), (17, 3), (64, 4), (200, 5)])
+def test_circle_mean_distance_of_off_radius_sets(n, seed):
+    # within 1.5 ulp of the exact mean over the unit-projected points, and
+    # within 2 ulps of the pair walk of riesz_energy on those points
+    X = _off_radius_circle(n, seed)
+    got = mean_distance(X)
+    with mp.workdps(40):
+        unit = [(x / mp.sqrt(x * x + y * y), y / mp.sqrt(x * x + y * y))
+                for x, y in (map(mp.mpf, row) for row in X.points)]
+        total = mp.fsum(mp.sqrt((a - c) ** 2 + (b - e) ** 2)
+                        for j, (a, b) in enumerate(unit) for c, e in unit[j + 1 :])
+        want = 2 * total / (n * n)
+        assert abs(got - want) <= 1.5 * math.ulp(float(want))
+    unit_rows = _unit_rows(1, X.points / np.linalg.norm(X.points, axis=1)[:, None])
+    walk = riesz_energy(unit_rows, -1.0) / (n * n)
+    assert abs(got - walk) <= 2 * math.ulp(walk)
+
+
+def test_circle_mean_distance_at_the_branch_cut():
+    # atan2(-0.0, -1) = -pi but atan2(0.0, -1) = pi: (-1, -0.0) and (-1, 0.0)
+    # sit at half-angles -pi/2 and pi/2, where cos rounds below 0
+    def mean(rows):
+        return mean_distance(PointSet(1, np.array(rows, dtype=float)))
+
+    assert mean([[-1.0, -0.0], [-1.0, 0.0]]) == 0.0
+    assert mean([[-1.0, -0.0], [-1.0, 0.0]] * 50) == 0.0
+    assert mean([[-1.0, 0.0]]) == 0.0 and mean([[-1.0, -0.0]]) == 0.0
+    for pair in ([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [-1.0, -0.0]], [[0.0, 1.0], [0.0, -1.0]]):
+        assert mean(pair) == 1.0
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        y = rng.uniform(-1e-12, 1e-12, n) * rng.choice((0.0, 1e-200, 1.0), n)
+        assert mean(np.stack([-np.sqrt(1.0 - y * y), y], axis=1)) >= 0.0
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_circle_mean_distance_of_equal_points_is_zero(n):
+    # equal points share one half-angle, so no prefix-sum rounding enters
+    assert mean_distance(PointSet(1, np.tile([0.6, 0.8], (n, 1)))) == 0.0
