@@ -33,11 +33,14 @@ in its own process with one BLAS thread and reports:
     subcommand, every --help, --version and the error cases of
     tests/test_cli.py.  `wall_time_s` and the directory's path are masked.
     A final newline after JSON that only one tree writes is listed apart
-    and not counted as a difference: JSON point sets gained one.
+    and not counted as a difference: JSON point sets gained one;
+  * in SRC only, the SCRIPT_CASES run through the console script's route
+    (`from rieszcap.__main__ import run`), which must give the same bytes
+    as the same tree's `python -m rieszcap`.
 
 The script prints both reports (without the CLI outputs) and one JSON line
-with the verdict, and exits 0 when everything is bitwise equal and threads
-agree, 1 otherwise.
+with the verdict, and exits 0 when everything is bitwise equal, threads
+agree and both entries of SRC agree, 1 otherwise.
 When bits differ it prints one more JSON line with how far they moved: the
 largest relative energy difference and the largest gradient difference
 over max|g| on both grids, the probe iteration and evaluation counts of
@@ -240,6 +243,15 @@ CLI_CASES = [
     ("verify", None),
     ("verify --config {tmp}/verify-suite-list.json", None),
 ]
+# CLI_CASES that SRC also runs through the console script's route
+SCRIPT_CASES = [
+    ("gen --kind fibonacci --n 12", None),
+    ("disc --kind l2", "s2"),
+    ("optimize --s -1", "s2-small"),
+    ("disc --kind l2 --in {tmp}/missing.csv", None),
+]
+ENTRIES = {"module": ["-m", "rieszcap"],
+           "script": ["-c", "import sys; from rieszcap.__main__ import run; sys.exit(run())"]}
 
 
 def _digest(a) -> str:
@@ -287,8 +299,9 @@ def _estimators(discrepancy, pointsets, workloads) -> dict:
     return out
 
 
-def _cli_outputs(pointsets) -> dict:
-    """Each CLI case's exit code, stdout, stderr and the files it wrote, masked."""
+def _cli_outputs(pointsets, cases, entry: str) -> dict:
+    """Each case's exit code, stdout, stderr and the files it wrote, masked,
+    run through the ENTRIES `entry`."""
     def text(val) -> str:
         return val if isinstance(val, str) else pointsets.dumps_pointset(getattr(pointsets, val[0])(*val[1:]))
 
@@ -296,11 +309,11 @@ def _cli_outputs(pointsets) -> dict:
     files = {name: text(val) for name, val in CLI_FILES.items()}
     env = dict(os.environ, PYTHONPATH=str(Path(pointsets.__file__).resolve().parents[1]))  # this tree
     out = {}
-    for line, key in CLI_CASES:
+    for line, key in cases:
         with tempfile.TemporaryDirectory() as tmp:
             for name, content in files.items():
                 Path(tmp, name).write_text(content, encoding="utf-8")
-            proc = subprocess.run([sys.executable, "-m", "rieszcap", *shlex.split(line.format(tmp=tmp))],
+            proc = subprocess.run([sys.executable, *ENTRIES[entry], *shlex.split(line.format(tmp=tmp))],
                                   input="" if key is None else stdin[key], capture_output=True, text=True,
                                   cwd=tmp, env=env, timeout=300)
 
@@ -331,7 +344,7 @@ def _cli_compare(ref: dict, new: dict) -> tuple[list, list]:
     return differ, newline_only
 
 
-def report() -> dict:
+def report(script: bool) -> dict:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
     from rieszcap import discrepancy, energy, optimizer, pointsets
@@ -372,9 +385,12 @@ def report() -> dict:
     same = serial.to_json() == threaded.to_json() and bool(
         (serial.best.points == threaded.best.points).all()
     )
-    return {"probe": probe, "grid": grid, "multi_strip": multi,
-            "estimators": _estimators(discrepancy, pointsets, workloads), "threads_1_vs_3_equal": same,
-            "values": values, "cli": _cli_outputs(pointsets)}
+    out = {"probe": probe, "grid": grid, "multi_strip": multi,
+           "estimators": _estimators(discrepancy, pointsets, workloads), "threads_1_vs_3_equal": same,
+           "values": values, "cli": _cli_outputs(pointsets, CLI_CASES, "module")}
+    if script:
+        out["cli_script"] = _cli_outputs(pointsets, SCRIPT_CASES, "script")
+    return out
 
 
 def _s1_ulps(ref: str, new: str):
@@ -431,11 +447,11 @@ def moved(ref: dict, new: dict) -> dict:
     }
 
 
-def _run(src: Path) -> dict:
+def _run(src: Path, *flags: str) -> dict:
     # no bytecode cache is left in either tree: a timed run there would read it
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, __file__, "--report"], env=env, check=True,
+    out = subprocess.run([sys.executable, __file__, "--report", *flags], env=env, check=True,
                          capture_output=True, text=True, timeout=600).stdout
     return json.loads(out)
 
@@ -445,14 +461,15 @@ def main(argv=None) -> int:
     parser.add_argument("ref", nargs="?", type=Path, help="src directory of the reference tree")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--report", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--script", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.report:
-        print(json.dumps(report()))
+        print(json.dumps(report(args.script)))
         return 0
     if args.ref is None:
         parser.error("REF_SRC is required")
-    ref, new = _run(args.ref.resolve()), _run(args.src.resolve())
-    shown = {tree: {k: v for k, v in rep.items() if k not in ("values", "cli")}
+    ref, new = _run(args.ref.resolve()), _run(args.src.resolve(), "--script")
+    shown = {tree: {k: v for k, v in rep.items() if k not in ("values", "cli", "cli_script")}
              for tree, rep in (("ref", ref), ("src", new))}
     print(json.dumps(shown, indent=1))
     verdict = {
@@ -467,12 +484,14 @@ def main(argv=None) -> int:
     cli_differing, verdict["cli_json_newline_only"] = _cli_compare(ref["cli"], new["cli"])
     verdict["cli_equal"] = not cli_differing
     verdict["cli_cases"] = len(new["cli"])
+    verdict["script_differing"] = [label for label, case in new["cli_script"].items() if new["cli"][label] != case]
+    verdict["script_cases"] = len(new["cli_script"])
     print(json.dumps(verdict))
     equal = all(verdict[k] for k in ("probe_equal", "grid_equal", "multi_strip_equal", "estimators_equal",
                                      "cli_equal"))
     if not equal:
         print(json.dumps(moved(ref, new)))
-    ok = equal and verdict["threads_1_vs_3_equal"]
+    ok = equal and verdict["threads_1_vs_3_equal"] and not verdict["script_differing"]
     return 0 if ok else 1
 
 

@@ -81,7 +81,7 @@ def roots_of_unity_energy_expansion(s: float, N: int, p: int) -> float:
     V_s(S^1) N^2 + (2 zeta(s)/(2 pi)^s) N^{1+s}
     + (2/(2 pi)^s) sum_{n<=p} alpha_n(s) zeta(s-2n) N^{1+s-2n}.
     The exclusion set {0, 1, 3, 5, ...} covers every pole in the chain."""
-    s = float(s)
+    s = _require_finite("s", s)
     p = _require_int("p", p, 0, EXPANSION_MAX_ORDER)
     N = _require_int("N", N, 1)
     if s == 0.0 or (s > 0.0 and s == int(s) and int(s) % 2 == 1):
@@ -122,11 +122,11 @@ def predicted_l2_roots_of_unity(N: int, p: int) -> float:
 
 def power_law_fit(samples) -> FitResult:
     """Unweighted least squares of log(value) on log(N)."""
-    pairs = [(float(n), float(v)) for n, v in samples]
+    pairs = [(_require_finite("N", n), _require_finite("value", v)) for n, v in samples]
     if len(pairs) < 2:
         raise DomainError(f"need at least 2 samples, got {len(pairs)}")
     for n, v in pairs:
-        if not (n > 0.0 and v > 0.0) or not (math.isfinite(n) and math.isfinite(v)):
+        if not (n > 0.0 and v > 0.0):
             raise DomainError(f"samples must be positive and finite, got ({n}, {v})")
     log_n = np.log([n for n, _ in pairs])
     log_v = np.log([v for _, v in pairs])

@@ -32,7 +32,7 @@ from .errors import (
     _require_int,
 )
 from .pointsets import PointSet, _unit_rows, random_uniform
-from .special_functions import _half_gamma_quotient
+from .special_functions import _half_gamma_quotient, _require_finite
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
 DIRECT_DSQ_FLOOR = 1e-15  # absolute error of one center's D^2 in the direct
@@ -98,8 +98,8 @@ def _sigma_cap_values(d: int, t: np.ndarray, out=None, work=None) -> np.ndarray:
 def sigma_cap(d: int, t: float) -> float:
     """Normalized surface measure of the spherical cap with threshold t."""
     d = _require_int("d", d, 1)
-    t = float(t)
-    if not math.isfinite(t) or abs(t) > 1.0:
+    t = _require_finite("t", t)
+    if abs(t) > 1.0:
         raise DomainError(f"threshold t must lie in [-1, 1], got {t}")
     return float(_sigma_cap_values(d, np.asarray([t]))[0])
 

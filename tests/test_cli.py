@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -780,3 +781,103 @@ def test_optimize_loads_numpy_random_only_for_restarts(restarts, loaded):
     # restart 0 starts at the input; only later restarts draw random starts
     argv = ["optimize", "--s", "-1", "--restarts", restarts]
     assert ("numpy.random" in _modules_after(argv)) is loaded
+
+
+# ------------------------------------------------------------ process entry
+
+# the console script's route: what the script generated for
+# `rieszcap = "rieszcap.__main__:run"` runs
+_RUN = "import sys; from rieszcap.__main__ import run; sys.exit(run())"
+_ENTRIES = {"module": ["-m", "rieszcap"], "script": ["-c", _RUN]}
+
+
+def _mask_wall(text):
+    return re.sub(r'"wall_time_s": [-+.e0-9]+', '"wall_time_s": "*"', text)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["gen", "--kind", "fibonacci", "--n", "12"], 0),
+        (["disc", "--kind", "l2"], 0),
+        (["optimize", "--s", "-1", "--max-iters", "20"], 0),
+        (["--version"], 0),
+        ([], 1),
+        (["disc", "--kind", "l2", "--in", "{tmp}/missing.csv"], 1),
+    ],
+    ids=["gen", "disc", "optimize", "version", "no-command", "unreadable-in"],
+)
+def test_process_entries_match_main(entry, argv, code, tmp_path, monkeypatch, capsys):
+    # the collector is off in the process, so only the exit and the output are compared
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    text = dumps_pointset(fibonacci_sphere(12))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
+    proc = subprocess.run([sys.executable, *_ENTRIES[entry], *argv], input=text, capture_output=True, text=True)
+    got = (proc.returncode, _mask_wall(proc.stdout), proc.stderr)
+    want = run_cli(argv, text, monkeypatch, capsys)
+    assert got == (want[0], _mask_wall(want[1]), want[2])
+    assert proc.returncode == code
+
+
+def test_importing_the_entry_runs_nothing():
+    code = ("import gc, sys\n"
+            "for enabled in (True, False):\n"
+            "    (gc.enable if enabled else gc.disable)()\n"
+            "    import rieszcap.__main__\n"
+            "    assert gc.isenabled() is enabled\n"
+            "    sys.modules.pop('rieszcap.__main__')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('rieszcap')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("['rieszcap']\n", "")
+
+
+def test_console_script_names_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"rieszcap": "rieszcap.__main__:run"}
+
+
+# a process as run() leaves it: the collector off from before the first
+# import, then the command; prints its exit code, the cyclic garbage left
+# and its output
+_GARBAGE = """
+import contextlib, gc, io, json, sys
+gc.disable()
+from rieszcap.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(json.dumps([code, gc.collect(), out.getvalue()]))
+"""
+
+
+def _garbage_after(argv, text):
+    """The objects gc.collect() finds after the command, and its output."""
+    proc = subprocess.run([sys.executable, "-c", _GARBAGE, *argv], input=text, capture_output=True, text=True,
+                          check=True)
+    code, garbage, out = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return garbage, out
+
+
+_OPTIMIZE = ["optimize", "--s", "-1", "--grad-tol", "1e-300", "--max-iters"]
+
+
+def test_garbage_does_not_grow_with_iterations():
+    # with the collector off a command's garbage is never freed, so it must not grow with the work
+    text = dumps_pointset(random_uniform(2, 40, seed=40))
+    (short, _), (long, out) = (_garbage_after(_OPTIMIZE + [iters], text) for iters in ("20", "2000"))
+    assert envelope(out)["result"]["iterations"] == 2000
+    assert short == long
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--kind", "fibonacci", "--n", "8"], ["energy", "--s", "-1"], ["disc", "--kind", "l2"],
+     _OPTIMIZE + ["2000"], ["constants"], ["predict"], ["fit"], ["verify", "--suite", "constants"]],
+    ids=["gen", "energy", "disc", "optimize", "constants", "predict", "fit", "verify"],
+)
+def test_every_command_leaves_little_garbage(argv):
+    text = "16,0.5\n32,0.3\n" if argv[0] == "fit" else dumps_pointset(random_uniform(2, 40, seed=40))
+    assert _garbage_after(argv, text)[0] < 1000

@@ -1,6 +1,8 @@
 """Integer arguments: every public integer parameter is checked by the same
 rule (errors._require_int), so bools, floats, values below the minimum and
-values above a guard fail alike, and numpy integers pass."""
+values above a guard fail alike, and numpy integers pass.  Real arguments
+go through special_functions._require_finite: a string, None or a bool is
+a ValidationError, inf or nan a DomainError."""
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ import pytest
 from rieszcap.asymptotics import (
     conjectured_A,
     conjectured_C,
+    power_law_fit,
     predicted_l2_roots_of_unity,
     roots_of_unity_energy_expansion,
 )
 from rieszcap.discrepancy import sample_centers, sigma_cap, weyl_sums
 from rieszcap.energy import ball_sphere_ratio, continuous_energy
-from rieszcap.errors import DomainError, RangeError
+from rieszcap.errors import DomainError, RangeError, ValidationError
 from rieszcap.optimizer import OptimizerConfig, optimize
 from rieszcap.pointsets import (
     fibonacci_sphere,
@@ -75,3 +78,34 @@ def test_integer_arguments_checked_alike(site):
         with pytest.raises(RangeError):
             call(guard + 1)
     call(np.int64(minimum + 1))
+
+
+# (call with the real under test, a valid value)
+REAL_PARAMETERS = {
+    "sigma_cap.t": (lambda v: sigma_cap(2, v), 0.5),
+    "roots_of_unity_energy_expansion.s": (lambda v: roots_of_unity_energy_expansion(v, 8, 2), -1.0),
+    "power_law_fit.N": (lambda v: power_law_fit([(v, 0.5), (32, 0.3)]), 16.0),
+    "power_law_fit.value": (lambda v: power_law_fit([(16, v), (32, 0.3)]), 0.5),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REAL_PARAMETERS))
+@pytest.mark.parametrize("bad", ["0.5", "x", None, True])
+def test_real_arguments_reject_non_numbers(site, bad):
+    with pytest.raises(ValidationError, match="must be a real number"):
+        REAL_PARAMETERS[site][0](bad)
+
+
+@pytest.mark.parametrize("site", sorted(REAL_PARAMETERS))
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_real_arguments_reject_non_finite(site, bad):
+    with pytest.raises(DomainError, match="must be finite"):
+        REAL_PARAMETERS[site][0](bad)
+
+
+@pytest.mark.parametrize("site", sorted(REAL_PARAMETERS))
+def test_real_arguments_accept_numbers_alike(site):
+    call, valid = REAL_PARAMETERS[site]
+    assert call(np.float64(valid)) == call(valid)
+    if valid == int(valid):
+        assert call(int(valid)) == call(valid)
