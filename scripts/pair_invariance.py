@@ -22,10 +22,11 @@ in its own process with one BLAS thread and reports:
     `disc_generate(7)` inputs: `l2_cap_discrepancy`,
     `l2_cap_discrepancy_direct` and `cap_sup_discrepancy_lower` (1024
     centers on each S^2 set, 256 on S^3) on all of them, and `cui_freeden`,
-    `sum_distance_discrepancy`, `leveque_report` and the Weyl sums, both at
-    L = 64, on the S^2 sets; `l2_cap_discrepancy` on the S^1 sets (roots
-    of unity, N = 2^8..2^12) and `mean_distance` of the roots of unity at
-    N = 2^13..2^16; and sigma_d on 201 thresholds in [-1, 1] for d = 1..8;
+    `sum_distance_discrepancy`, `leveque_report` and the Weyl sums (as a
+    JSON list), both at L = 64, on the S^2 sets; `l2_cap_discrepancy` on
+    the S^1 sets (roots of unity, N = 2^8..2^12) and `mean_distance` of the
+    roots of unity at N = 2^13..2^16; and sigma_d on 201 thresholds in
+    [-1, 1] for d = 1..8;
   * whether `optimize` with three restarts gives the same result with
     threads=1 and threads=3;
   * the exit code, stdout, stderr and written files of each command line in
@@ -47,7 +48,9 @@ over max|g| on both grids, the probe iteration and evaluation counts of
 both trees side by side, and the estimator entries and command lines that
 differ, with each differing S^1 entry's distance in ulps of its mean
 distance (for `l2` reports and `predict` rows, that of D^2 scaled by
-ratio(1) = 1/pi).
+ratio(1) = 1/pi), each differing Weyl entry's largest |S_l difference| in
+units of (2l+1)/(4 pi), which `weyl_sums` bounds by 3e-16, and each
+differing LeVeque entry's relative change of both functionals.
 It is not a test: bitwise equality across trees depends on the BLAS
 kernels, and so on the host and the BLAS build.
 """
@@ -287,7 +290,7 @@ def _estimators(discrepancy, pointsets, workloads) -> dict:
             reports["cui-freeden"] = discrepancy.cui_freeden(X)
             reports["sum-distance"] = discrepancy.sum_distance_discrepancy(X)
             reports["leveque"] = discrepancy.leveque_report(X, workloads.DISC_DEGREE)
-            out[f"weyl {label}"] = _digest(discrepancy.weyl_sums(X, workloads.DISC_DEGREE))
+            out[f"weyl {label}"] = json.dumps(discrepancy.weyl_sums(X, workloads.DISC_DEGREE))
         out.update({f"{kind} {label}": json.dumps(rep.to_json()) for kind, rep in reports.items()})
     for X in inputs["s1"]:
         out[f"l2 s1 N={X.n}"] = json.dumps(discrepancy.l2_cap_discrepancy(X).to_json())
@@ -405,6 +408,18 @@ def _s1_ulps(ref: str, new: str):
             "d_squared": math.pi * abs(b["d_squared"] - a["d_squared"]) / unit}
 
 
+def _weyl_units(ref: str, new: str) -> float:
+    """The largest |S_l difference| of a Weyl entry in units of (2l+1)/(4 pi)."""
+    return max(abs(b - a) * 4.0 * math.pi / (2 * l + 1)
+               for l, (a, b) in enumerate(zip(json.loads(ref), json.loads(new)), start=1))
+
+
+def _leveque_rel(ref: str, new: str) -> dict:
+    """A LeVeque entry's relative change of its lower and upper functionals."""
+    a, b = json.loads(ref)["diagnostics"], json.loads(new)["diagnostics"]
+    return {k: abs(b[k] - a[k]) / abs(a[k]) for k in ("lower_functional", "upper_functional")}
+
+
 def _predict_ulps(ref: dict, new: dict) -> dict:
     """measured_dsq of each differing row of a `predict` case (CSV on stdout
     or in a file) in ulps of the mean distance 4/pi - pi D^2, as above."""
@@ -423,6 +438,7 @@ def moved(ref: dict, new: dict) -> dict:
     """How far the grid values and the probe iteration and evaluation counts
     moved, and which estimators and CLI cases differ."""
     rel_e, rel_g = 0.0, 0.0
+    differing = {k: (v, new["estimators"][k]) for k, v in ref["estimators"].items() if new["estimators"][k] != v}
     cli_differing = _cli_compare(ref["cli"], new["cli"])[0]
     for key, a in ref["values"].items():
         b = new["values"][key]
@@ -438,9 +454,11 @@ def moved(ref: dict, new: dict) -> dict:
             [p["N"], p["iterations"], q["iterations"], p["evaluations"], q["evaluations"]]
             for p, q in zip(ref["probe"], new["probe"])
         ],
-        "estimators_differing": [k for k, v in ref["estimators"].items() if new["estimators"][k] != v],
-        "s1_ulps_of_mean": {k: _s1_ulps(v, new["estimators"][k]) for k, v in ref["estimators"].items()
-                            if " s1 " in k and new["estimators"][k] != v},
+        "estimators_differing": list(differing),
+        "s1_ulps_of_mean": {k: _s1_ulps(*ab) for k, ab in differing.items() if " s1 " in k},
+        "weyl_max_abs_diff_over_scale": {k: _weyl_units(*ab) for k, ab in differing.items()
+                                         if k.startswith("weyl ")},
+        "leveque_rel_change": {k: _leveque_rel(*ab) for k, ab in differing.items() if k.startswith("leveque ")},
         "cli_differing": cli_differing,
         "predict_ulps_of_mean": {label: _predict_ulps(ref["cli"][label], new["cli"][label])
                                  for label in cli_differing if label.startswith("predict ")},

@@ -165,13 +165,15 @@ def _sorted_projections(X: PointSet, centers: np.ndarray):
     arrays of u's shape.  All three are views of buffers allocated once per
     call that every block overwrites (a short last block sees their first
     rows), so a consumer is done with them when it asks for the next block.
-    A block keeps u's N+1 threshold segments within energy._BLOCK entries,
-    so memory stays bounded for every N and number of centers.  The block
-    height is a power of two so that blocks start on BLAS row-tile
-    boundaries; with two or more centers per block the projections then
-    match one whole-matrix product bit for bit (checked with OpenBLAS).  The
-    x_j are the points scaled to unit norm."""
-    fit = max(1, _BLOCK // (X.n + 1))
+    The three buffers together hold at most energy._BLOCK entries, counting
+    u's N+1 threshold segments per center (3 height (N+1) <= _BLOCK), so
+    the walk's working set fits in L2 and stays bounded for every N and
+    number of centers.  The block height is the largest power of two under
+    that bound, so that blocks start on BLAS row-tile boundaries; with two
+    or more centers per block the projections then match one whole-matrix
+    product bit for bit (checked with OpenBLAS).  The x_j are the points
+    scaled to unit norm."""
+    fit = max(1, _BLOCK // (3 * (X.n + 1)))
     height = 1 << (fit.bit_length() - 1)
     pts_t = _unit_points(X).T
     m = centers.shape[0]
@@ -290,16 +292,22 @@ def _harmonic_tables(L: int) -> tuple[np.ndarray, np.ndarray]:
       s_mm^2 = ((2m+1)/(4 pi)) prod_{k<=m} (2k-1)/(2k),  s_lm^2 = s_{l-1,m}^2 (4l^2-1)/(l^2-m^2)
 
     c_{m+1,m} = 0, so q_{m+1,m} = t needs no case of its own.  Row l, column
-    m; s2 is zero above the diagonal."""
+    m; s2 is zero above the diagonal.  Both are built in place, with no
+    other (L+1)^2 array."""
     l = np.arange(L + 1.0)[:, None]
     m = np.arange(L + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
-        step = np.where(l > m, (4.0 * l * l - 1.0) / (l * l - m * m), 1.0)
+        c = np.subtract((l - 1.0) ** 2, m * m)
+        c /= 4.0 * (l - 1.0) ** 2 - 1.0
+        s2 = np.subtract(l * l, m * m)
+        np.divide(4.0 * l * l - 1.0, s2, out=s2)
     k = m[1:]
     diag = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
-    np.fill_diagonal(step, (2.0 * m + 1.0) / (4.0 * math.pi) * diag)
-    return c, np.tril(np.cumprod(step, axis=0))
+    np.fill_diagonal(s2, (2.0 * m + 1.0) / (4.0 * math.pi) * diag)
+    for row in range(L + 1):  # s2[l, m] = s2[l-1, m] step[l, m] below the diagonal
+        s2[row, :row] *= s2[row - 1, :row]
+        s2[row, row + 1 :] = 0.0
+    return c, s2
 
 
 def weyl_sums(X: PointSet, L: int) -> list[float]:
@@ -311,17 +319,19 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     The zonal term runs the unnormalized Legendre recurrence, exact at
     t in {0, +-1}; zeta^m carries the sin^m factor of the other terms (see
     _harmonic_tables).  Points are scaled to unit norm first and walked in
-    strips whose (L+1)-row arrays stay within _BLOCK entries; the complex
-    sums accumulate across strips and are squared at the end, so every S_l
-    is a sum of squares, >= 0, and sets symmetric about the axes cancel
-    exactly (the octahedron's S_1..S_3 and the odd S_l of the two poles are
-    0.0).
+    strips whose five (L+1)-row buffers, the real and imaginary zeta^m and
+    three q levels, together hold at most _BLOCK entries (width
+    _BLOCK // (5 (L+1))); the complex sums accumulate across strips and are
+    squared at the end, so every S_l is a sum of squares, >= 0, and sets
+    symmetric about the axes cancel exactly (the octahedron's S_1..S_3 and
+    the odd S_l of the two poles are 0.0).
 
     Precision: within 3e-16 (2l+1)/(4 pi) absolute of the S_l of the
     unit-projected points (40-digit mpmath at L = 20, an 80-bit sum at
-    L = 256).  The O(N^2 L) addition-theorem sum over pairs, the test
-    oracle in tests/oracles.py, differs by at most 1e-13 (2l+1)/(4 pi)
-    (2.5e-14 at N = 100, L = 256), nearly all of it that route's own error.
+    L = 256), for any strip width.  The O(N^2 L) addition-theorem sum over
+    pairs, the test oracle in tests/oracles.py, differs by at most
+    1e-13 (2l+1)/(4 pi) (2.5e-14 at N = 100, L = 256), nearly all of it
+    that route's own error.
     """
     _require_s2(X, "weyl")
     L = _require_int("degree", L, 1, WEYL_MAX_DEGREE)  # named as the CLI's --degree
@@ -329,30 +339,35 @@ def weyl_sums(X: PointSet, L: int) -> list[float]:
     pts = _unit_points(X)
     c, s2 = _harmonic_tables(L)
     zonal = np.zeros(L + 1)  # zonal[l] = sum_j P_l(t_j)
-    re = np.zeros((L + 1, L + 1))  # [l, m]: sum_j q_lm(t_j) zeta_j^m
-    im = np.zeros((L + 1, L + 1))
-    width = max(1, _BLOCK // (L + 1))
+    sums = np.zeros((2, L + 1, L + 1))  # [re/im, l, m]: sum_j q_lm(t_j) zeta_j^m
+    width = max(1, _BLOCK // (5 * (L + 1)))
     for start in range(0, n, width):
-        _add_strip_sums(pts[start : start + width], c, zonal, re, im)
-    harmonic = (s2 * (re * re + im * im)).sum(axis=1)
+        _add_strip_sums(pts[start : start + width], c, zonal, sums)
+    sums *= sums  # in place: no (L+1)^2 temporaries next to sums and the tables
+    sums[0] += sums[1]
+    sums[0] *= s2
+    harmonic = sums[0].sum(axis=1)
     return [
         float(((2 * l + 1) / (4.0 * math.pi) * zonal[l] ** 2 + 2.0 * harmonic[l]) / (n * n))
         for l in range(1, L + 1)
     ]
 
 
-def _add_strip_sums(strip: np.ndarray, c: np.ndarray, zonal, re, im) -> None:
+def _add_strip_sums(strip: np.ndarray, c: np.ndarray, zonal, sums) -> None:
     """Add one strip's sum_j P_l(t_j) to zonal[l] and its sum_j q_lm(t_j)
-    zeta_j^m to re[l, m] + i im[l, m], for l = 1..L and m = 1..l."""
+    zeta_j^m to sums[0, l, m] + i sums[1, l, m], for l = 1..L and m = 1..l."""
     L = c.shape[0] - 1
     w = strip.shape[0]
     x, y, t = strip.T
-    z_re, z_im = np.empty((L + 1, w)), np.empty((L + 1, w))  # zeta^m
-    z_re[0], z_im[0] = 1.0, 0.0
-    for m in range(1, L + 1):
-        z_re[m] = z_re[m - 1] * x - z_im[m - 1] * y
-        z_im[m] = z_re[m - 1] * y + z_im[m - 1] * x
     p_prev, p_cur, p_next = np.ones(w), t.copy(), np.empty(w)
+    zeta = np.empty((2, L + 1, w))  # zeta^m: real, imaginary
+    z_re, z_im = zeta
+    z_re[0], z_im[0] = 1.0, 0.0
+    for m in range(1, L + 1):  # in place, p_next as scratch
+        np.multiply(z_re[m - 1], x, out=z_re[m])
+        z_re[m] -= np.multiply(z_im[m - 1], y, out=p_next)
+        np.multiply(z_re[m - 1], y, out=z_im[m])
+        z_im[m] += np.multiply(z_im[m - 1], x, out=p_next)
     q_prev, q_cur, q_next = np.zeros((3, L + 1, w))
     for l in range(1, L + 1):
         zonal[l] += p_cur.sum()
@@ -370,8 +385,7 @@ def _add_strip_sums(strip: np.ndarray, c: np.ndarray, zonal, re, im) -> None:
         q_next[rows] -= q_prev[rows]
         q_next[l] = 1.0
         rows = slice(1, l + 1)
-        re[l, rows] += np.einsum("mj,mj->m", q_next[rows], z_re[rows])
-        im[l, rows] += np.einsum("mj,mj->m", q_next[rows], z_im[rows])
+        sums[:, l, rows] += np.einsum("mj,kmj->km", q_next[rows], zeta[:, rows])
         q_prev, q_cur, q_next = q_cur, q_next, q_prev
 
 

@@ -15,6 +15,7 @@ from rieszcap.discrepancy import (
     DiscrepancyReport,
     _cap_sup_given_centers,
     _direct_dsq_per_center,
+    _harmonic_tables,
     _sigma_cap_values,
     _sigma_sq_integral,
     _sqrt_clamped,
@@ -448,13 +449,29 @@ def test_weyl_blocks_match_one_block(monkeypatch):
 
     X = random_uniform(2, 50, seed=7)
     whole = weyl_sums(X, 12)
-    monkeypatch.setattr(disc, "_BLOCK", 7 * X.n)
+    monkeypatch.setattr(disc, "_BLOCK", 5 * 13 * 7)  # five 13-row buffers of width 7
     np.testing.assert_allclose(weyl_sums(X, 12), whole, rtol=0.0, atol=1e-14)
 
 
+def test_weyl_strips_match_one_strip_to_docstring_bound(monkeypatch):
+    # at N = 1000, L = 64 the walk takes three strips (widths 403, 403, 194);
+    # one strip of all 1000 points gives the same S_l within the docstring's
+    # 3e-16 (2l+1)/(4 pi)
+    import rieszcap.discrepancy as disc
+
+    X = random_uniform(2, 1000, seed=64)
+    assert disc._BLOCK // (5 * 65) == 403
+    strips = np.array(weyl_sums(X, 64))
+    monkeypatch.setattr(disc, "_BLOCK", 5 * 65 * X.n)
+    one = np.array(weyl_sums(X, 64))
+    assert np.all(np.abs(strips - one) <= 3e-16 * _weyl_scale(64))
+
+
 def test_weyl_memory_bounded():
-    # rows are walked in blocks: the Gram matrix and three Legendre levels
-    # at N=2000 would take about 160 MB
+    # rows are walked in strips whose five (L+1)-row buffers hold _BLOCK
+    # entries together (1.05 MB), next to the two tables and the two
+    # accumulators (0.13 MB together at L = 64): the Gram matrix and three
+    # Legendre levels at N=2000 would take about 160 MB
     X = fibonacci_sphere(2000)
     tracemalloc.start()
     try:
@@ -462,12 +479,13 @@ def test_weyl_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6
+    assert peak <= 2e6
 
 
 def test_weyl_memory_bounded_max_degree():
-    # strips keep every (L+1)-row array within _BLOCK entries at the
-    # largest degree the CLI accepts, too
+    # at the largest degree the CLI accepts the strip buffers stay within
+    # _BLOCK entries, the tables c and s2 are built with no other 257^2
+    # array, and the accumulators are squared in place: 3.3 MB in all
     X = fibonacci_sphere(2000)
     tracemalloc.start()
     try:
@@ -475,7 +493,36 @@ def test_weyl_memory_bounded_max_degree():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6
+    assert peak <= 3.5e6
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 64, WEYL_MAX_DEGREE])
+def test_harmonic_tables_match_cumprod_bitwise(L):
+    # the reference builds the steps of s2 in a third (L+1)^2 array and
+    # multiplies them down each column with np.cumprod
+    l = np.arange(L + 1.0)[:, None]
+    m = np.arange(L + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
+        step = np.where(l > m, (4.0 * l * l - 1.0) / (l * l - m * m), 1.0)
+    k = m[1:]
+    diag = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
+    np.fill_diagonal(step, (2.0 * m + 1.0) / (4.0 * math.pi) * diag)
+    got_c, got_s2 = _harmonic_tables(L)
+    assert got_c.tobytes() == c.tobytes()
+    assert got_s2.tobytes() == np.tril(np.cumprod(step, axis=0)).tobytes()
+
+
+def test_harmonic_tables_memory_bounded():
+    # c and s2 at the top degree take 2 x 257^2 doubles (1.06 MB); one more
+    # 257^2 temporary (0.53 MB) goes over the bound
+    tracemalloc.start()
+    try:
+        _harmonic_tables(WEYL_MAX_DEGREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4e6
 
 
 def _weyl_scale(L):
@@ -606,12 +653,12 @@ def test_cap_sup_rotation_invariant_given_centers():
 @pytest.mark.parametrize("estimator", [l2_cap_discrepancy_direct, cap_sup_discrepancy_lower])
 @pytest.mark.parametrize("d", [1, 3])
 def test_center_estimators_memory_bounded(estimator, d):
-    # centers are walked in blocks of 16 that share one projection buffer
-    # and two work buffers (3 x 16 x 4096 doubles, 1.57 MB), which also hold
-    # the scratch of sigma_d's recurrence at d = 3; a full 1024 x 4097
-    # projection array and its temporaries would take 168-269 MB, and one
-    # more block-sized temporary (0.52 MB) goes over the bound.  A warm-up
-    # call keeps numpy's first-call allocations out of the peak.
+    # centers are walked in blocks of 8 that share one projection buffer
+    # and two work buffers (3 x 8 x 4096 doubles, 0.79 MB, within _BLOCK
+    # entries together), which also hold the scratch of sigma_d's recurrence
+    # at d = 3; a full 1024 x 4097 projection array and its temporaries
+    # would take 168-269 MB, and blocks of 16 (1.57 MB) go over the bound.
+    # A warm-up call keeps numpy's first-call allocations out of the peak.
     X = roots_of_unity(4096) if d == 1 else random_uniform(d, 4096, seed=d)
     estimator(X, 1, 0)
     tracemalloc.start()
@@ -620,7 +667,7 @@ def test_center_estimators_memory_bounded(estimator, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2e6
+    assert peak <= 1.5e6
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -632,7 +679,8 @@ def test_center_blocks_reuse_buffers_bitwise(monkeypatch, d):
     X = random_uniform(d, 40, seed=d)
     C = sample_centers(d, 10, 9)
     direct, sup = _direct_dsq_per_center(X, C), _cap_sup_given_centers(X, C)
-    monkeypatch.setattr(disc, "_BLOCK", 4 * (X.n + 1))
+    # three buffers of 4 rows of N+1 entries hold _BLOCK together
+    monkeypatch.setattr(disc, "_BLOCK", 12 * (X.n + 1))
     assert [len(u) for _, u, _, _ in disc._sorted_projections(X, C)] == [4, 4, 2]
     assert _direct_dsq_per_center(X, C).tobytes() == direct.tobytes()
     assert _cap_sup_given_centers(X, C) == sup
