@@ -141,6 +141,7 @@ CLI_CASES = [
     ("gen --kind roots-of-unity --n 5 --d 2", None),
     ("gen --kind fibonacci --n 5 --d 3", None),
     ("gen --kind hammersley-sphere --n 6", None),
+    ("gen --kind hammersley-sphere --n 33554432", None),
     ("gen --kind random --n 3 --seed -1", None),
     ("gen --kind fibonacci --n 4 --seed 3", None),
     ("gen --kind nope --n 3", None),
@@ -220,6 +221,7 @@ CLI_CASES = [
     # predict
     ("predict --ns 2,4,8 --p 1", None),
     ("predict --ns 4,8 --format json", None),
+    ("predict --ns 4,8 --p 16", None),
     ("predict --out {tmp}/predict.csv", None),
     ("predict --ns a,b", None),
     ("predict --ns ,", None),

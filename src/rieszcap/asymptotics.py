@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ball_sphere_ratio, continuous_energy
-from .errors import DegenerateFit, DomainError, PoleError, UnsupportedDimension, _require_int
+from .errors import DegenerateFit, DomainError, PoleError, UnsupportedDimension, _require_finite, _require_int
 from .special_functions import (
-    _require_finite,
     bernoulli_table,
     hex_lattice_zeta,
     riemann_zeta,
@@ -102,7 +101,7 @@ def roots_of_unity_energy_expansion(s: float, N: int, p: int) -> float:
 
 def _l2_term_coeff(n: int) -> float:
     # 4 * (-alpha_n(-1) zeta(-1-2n)) = 4 |B_{2n+2}| pi^(2n) / (2n+2)!
-    b = bernoulli_table(2 * n + 2)[2 * n + 2]
+    b = bernoulli_table(n + 1)[2 * n + 2]
     return 4.0 * abs(float(b)) * math.pi ** (2 * n) / math.factorial(2 * n + 2)
 
 

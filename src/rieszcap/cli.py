@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import InputError, NumericalContractError, ParseError, ValidationError, _require_int
 from .pointsets import (
+    HAMMERSLEY_MAX_M,
     PointSet,
     _csv_text,
     dumps_pointset,
@@ -147,8 +148,8 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 
 def _hammersley_sphere(n: int) -> PointSet:
     m = n.bit_length() - 1
-    if n < 1 or 2**m != n:
-        raise ValidationError(f"hammersley-sphere needs --n a power of two, got {n}")
+    if n < 1 or 2**m != n or m > HAMMERSLEY_MAX_M:
+        raise ValidationError(f"hammersley-sphere needs --n a power of two up to 2^{HAMMERSLEY_MAX_M}, got {n}")
     return lambert_lift(hammersley_square(m))
 
 
@@ -394,7 +395,7 @@ def _suite_bernoulli() -> dict:
 
     # alpha_n(-1) zeta(-1-2n) = (-1)^(n+1) B_{2n+2} pi^(2n) / (2n+2)!, all < 0
     alpha = sinc_power_coeffs(-1.0, 6)
-    bern = bernoulli_table(14)
+    bern = bernoulli_table(7)  # B_0 .. B_14
     rows = []
     ok = True
     for n in range(1, 7):

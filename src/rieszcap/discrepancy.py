@@ -25,14 +25,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .energy import _BLOCK, _pair_sums, ball_sphere_ratio, continuous_energy, riesz_energy
-from .errors import (
-    DimensionError,
-    DomainError,
-    NegativeVarianceError,
-    _require_int,
-)
+from .errors import DimensionError, DomainError, NegativeVarianceError, _require_finite, _require_int
 from .pointsets import PointSet, _unit_rows, random_uniform
-from .special_functions import _half_gamma_quotient, _require_finite
+from .special_functions import _half_gamma_quotient
 
 SQRT_CLAMP_TOL = 1e-12  # float noise vs genuine identity violation
 DIRECT_DSQ_FLOOR = 1e-15  # absolute error of one center's D^2 in the direct

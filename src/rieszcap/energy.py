@@ -13,7 +13,8 @@ Conventions fixed here once:
     the pairs under _NEAR_R2 with `take` to redo them from coordinate
     differences, and lets the kernel overwrite the strip in place.  A call
     builds its walk, or reuses one of its shape across calls: the optimizer
-    keeps one per restart, with its buffers, constant columns and strip views.
+    keeps one per restart.  A walk holds its buffers and constant columns
+    only; each strip's views are cut from them when the walk reaches it.
   * Gradients: every weight of a strip, its own square's and the columns
     after it, reaches one accumulator 2 sum_k W_jk (x_k, 1) through a GEMM
     against the rows [2x, 2], for every N.
@@ -36,6 +37,7 @@ from .errors import (
     DomainError,
     PoleError,
     ValidationError,
+    _require_finite,
     _require_int,
 )
 from .pointsets import PointSet
@@ -44,7 +46,6 @@ from .special_functions import (
     _half_gamma_quotient,
     _log_abs_gamma,
     _log_gamma_ratio,
-    _require_finite,
 )
 
 COINCIDENCE_TOL = 1e-14     # below float distance resolution on the unit sphere
@@ -54,9 +55,9 @@ _NEAR_R2 = 1e-2             # GEMM r^2 below this is redone by differences
 
 
 class _Walk:
-    """A pair walk's buffers and strip views for n points of R^m, with their
-    constant columns filled: `_pair_sums` calls of that shape and `grad`
-    reuse them.  One caller at a time; the optimizer keeps one per restart."""
+    """A pair walk's buffers for n points of R^m, constant columns filled, and
+    its strip height: `_pair_sums` calls of that shape and `grad` reuse them
+    and cut each strip's views as they reach it.  One caller at a time."""
 
     def __init__(self, n: int, m: int, grad: bool):
         self.shape = (n, m, grad)
@@ -64,23 +65,15 @@ class _Walk:
         self.left[:, m + 1] = 1.0
         self.right = np.empty((m + 2, n))  # [-2y, 1, |y|^2], transposed and contiguous
         self.right[m] = 1.0
-        height = max(1, _BLOCK // n)
-        buf = np.empty(min(height, n) * n)  # each strip's r^2, then K
-        wbuf = np.empty(buf.size) if grad else None  # each strip's W
+        self.height = max(1, _BLOCK // n)
+        self.buf = np.empty(min(self.height, n) * n)  # each strip's r^2, then K
+        self.wbuf = np.empty(self.buf.size) if grad else None  # each strip's W
         if grad:
             # acc_j = 2 sum_k W_jk (x_k, 1).  Its own [2x, 2] rather than `left`:
             # against five columns OpenBLAS rounded the x sums up to 6x worse
             self.aug = np.empty((n, m + 1))
             self.aug[:, m] = 2.0
             self.acc = np.empty((n, m + 1))
-        self.strips = []  # lo, hi, h, flat strip, its r^2, flat W, its W, the square's diagonal
-        for lo in range(0, n, height):
-            hi = min(lo + height, n)
-            strip = buf[: (hi - lo) * (n - lo)]
-            wflat = wbuf[: strip.size] if grad else None
-            self.strips.append((lo, hi, hi - lo, strip, strip.reshape(hi - lo, n - lo), wflat,
-                                wflat.reshape(hi - lo, n - lo) if grad else None,
-                                slice(None, None, n - lo + 1)))
 
 
 def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = False, walk=None):
@@ -110,12 +103,19 @@ def _pair_sums(pts: np.ndarray, kernel, coincident_error: bool, grad: bool = Fal
         np.multiply(pts, 2.0, out=aug[:, :m])
         acc.fill(0.0)
     sums = []  # each strip's square row sums and 2x its row sums over k >= hi
-    for lo, hi, h, strip, r2, wflat, w, diag in walk.strips:
+    for lo in range(0, n, walk.height):
+        hi = min(lo + walk.height, n)
+        h, cols = hi - lo, n - lo
+        strip = walk.buf[: h * cols]  # flat, so the square's diagonal is one slice
+        r2 = strip.reshape(h, cols)
+        diag = slice(None, None, cols + 1)
+        wflat = walk.wbuf[: strip.size] if grad else None
+        w = wflat.reshape(h, cols) if grad else None
         np.matmul(left[lo:hi], right[:, lo:], out=r2)
         strip[diag] = 1.0
         if r2.min() < _NEAR_R2:
             flat = np.flatnonzero(strip < _NEAR_R2)
-            i, k = np.divmod(flat, n - lo)
+            i, k = np.divmod(flat, cols)
             diff = pts[lo:].take(i, axis=0)  # strip entry (i, k) is pair (lo+i, lo+k)
             diff -= pts[lo:].take(k, axis=0)
             near = np.einsum("ij,ij->i", diff, diff)

@@ -33,9 +33,8 @@ from numbers import Real
 import numpy as np
 
 from .energy import _Walk, riesz_energy_and_gradient
-from .errors import ValidationError, _require_int
+from .errors import ValidationError, _require_finite, _require_int
 from .pointsets import PointSet, _unit_rows, random_uniform
-from .special_functions import _require_finite
 
 STEP_STALL = 1e-17  # backtracked step below this means float plateau
 _GROWTH = 2.0

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, PoleError, RangeError, ValidationError, _require_int
+from .errors import DomainError, PoleError, RangeError, _require_finite, _require_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -33,18 +32,6 @@ EM_MIN_S = -6.0           # Euler-Maclaurin engines answer for s >= this only
 SINC_COEFF_MAX_ORDER = 32
 _HALF_GAMMA_MAX = 2048    # Gamma(k/2) is taken exactly for integers |k| up to this
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
-
-
-def _require_finite(name: str, x: float) -> float:
-    """`x` as a float.  ValidationError for a bool or a non-number (a string
-    too), DomainError for inf or nan; numpy scalars are accepted."""
-    # a float skips the ABC check, which costs about 0.5 us per call
-    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, Real)):
-        raise ValidationError(f"{name} must be a real number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def sphere_surface_area(d: int) -> float:

@@ -69,6 +69,13 @@ def test_gen_kinds_loadable(kind, d, n, monkeypatch, capsys):
     np.testing.assert_allclose(np.linalg.norm(ps.points, axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", ["6", "33554432"])  # 2^25 only: 2^24 writes 16.7M points
+def test_hammersley_sphere_n_errors_name_the_flag(n, monkeypatch, capsys):
+    code, out, err = run_cli(["gen", "--kind", "hammersley-sphere", "--n", n], None, monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: hammersley-sphere needs --n a power of two up to 2^24, got {n}\n"
+
+
 def test_gen_json_format(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["gen", "--kind", "roots-of-unity", "--n", "5", "--format", "json"],

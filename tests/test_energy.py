@@ -293,11 +293,27 @@ def test_walk_reused_across_strips_with_and_without_close_pairs(monkeypatch):
     assert any(_strips_with_close_pairs(clusters, 30))
     assert not any(_strips_with_close_pairs(spread, 30))
     walks = [energy_mod._Walk(len(clusters), 3, grad) for grad in (True, False)]
-    assert len(walks[0].strips) == 8 and walks[0].strips[-1][2] == 10
+    starts = range(0, len(clusters), walks[0].height)
+    assert len(starts) == 8 and len(clusters) - starts[-1] == 10
     for pts in (clusters, spread, clusters[::-1].copy(), spread):
         for walk in walks:
             for s in (-1.0, 0.0, 2.0):
                 _walk_matches_fresh(walk, PointSet(2, pts), s)
+
+
+def test_walk_holds_its_buffers_and_no_per_strip_objects():
+    # strip views are cut as the walk reaches them, so a walk of 512 strips
+    # (N = 8192) or 128 with gradients (N = 4096) holds its buffers and a few
+    # hundred bytes; prebuilt views took 0.26 MB at N = 8192
+    for n, grad in ((8192, False), (4096, True)):
+        tracemalloc.start()
+        try:
+            walk = energy_mod._Walk(n, 3, grad)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        buffers = sum(a.nbytes for a in vars(walk).values() if isinstance(a, np.ndarray))
+        assert held - buffers < 4096, (n, grad, held - buffers)
 
 
 def test_walk_reused_after_coincident_points_error(monkeypatch):

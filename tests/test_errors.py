@@ -1,7 +1,7 @@
 """Integer arguments: every public integer parameter is checked by the same
 rule (errors._require_int), so bools, floats, values below the minimum and
 values above a guard fail alike, and numpy integers pass.  Real arguments
-go through special_functions._require_finite: a string, None or a bool is
+go through errors._require_finite: a string, None or a bool is
 a ValidationError, inf or nan a DomainError."""
 
 import numpy as np
